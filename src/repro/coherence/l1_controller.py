@@ -18,7 +18,6 @@ line in the array is always in a stable state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.addr import bytes_touched
@@ -63,6 +62,16 @@ from repro.memsys.cache_array import CacheArray
 from repro.memsys.write_buffer import WriteBuffer
 
 CompletionCallback = Callable[[int], None]
+
+# Hot-path aliases: module globals, one dict probe each instead of a global
+# probe plus an attribute load per use in ``access``/``_perform``.
+_LOAD = OpKind.LOAD
+_STORE = OpKind.STORE
+_RMW = OpKind.RMW
+_M = L1State.M
+_E = L1State.E
+_PRV = L1State.PRV
+_from_bytes = int.from_bytes
 
 
 class L1Line:
@@ -179,11 +188,11 @@ class L1Controller:
         """
         stats = self.stats
         kind = op.kind
-        if kind is OpKind.LOAD:
+        if kind is _LOAD:
             stats[CORE_LOADS] += 1
-        elif kind is OpKind.STORE:
+        elif kind is _STORE:
             stats[CORE_STORES] += 1
-        elif kind is OpKind.RMW:
+        elif kind is _RMW:
             stats[CORE_RMWS] += 1
         else:
             raise ProtocolError(f"non-memory op reached the L1: {op.kind}")
@@ -211,7 +220,7 @@ class L1Controller:
         # PRV); loads hit any of them, stores need M/E, and PRV accesses
         # hit only when the PAM already covers every touched granule
         # (Section V-B: uncovered bytes take a GetCHK/GetXCHK).
-        if state is L1State.PRV:
+        if state is _PRV:
             pentry = self._pam_entries.get(block)
             if pentry is None:
                 raise ProtocolError("PRV line without a PAM entry")
@@ -227,44 +236,44 @@ class L1Controller:
             if not covered:
                 self._start_miss(block, line, op, on_complete)
                 return
-        elif op.is_write and not (state is L1State.M or state is L1State.E):
+        elif op.is_write and not (state is _M or state is _E):
             self._start_miss(block, line, op, on_complete)
             return
         # Hit: the op performs (becomes globally visible) immediately; the
         # core observes completion after the data-array latency.
         stats[CORE_HITS] += 1
         result = self._perform(block, line, op)
-        self.queue.schedule(self._data_latency, partial(on_complete, result))
+        self.queue.post(self._data_latency, on_complete, result)
 
     # ------------------------------------------------------------- hit path
 
     def _perform(self, block: int, line: L1Line, op: Op) -> int:
         """Apply the op to the line's bytes, update PAM, return the result."""
-        if op.is_write and line.state is L1State.E:
-            line.state = L1State.M
+        kind = op.kind
+        if kind is not _LOAD and line.state is _E:
+            line.state = _M
         offset = op.addr & self._offset_mask
         size = op.size
         data = line.data
-        kind = op.kind
-        self.stats[CORE_L1_DATA_ACCESSES] += 1
-        result = 0
-        if kind is OpKind.LOAD:
-            result = int.from_bytes(data[offset:offset + size], "little")
-        elif kind is OpKind.STORE:
+        stats = self.stats
+        stats[CORE_L1_DATA_ACCESSES] += 1
+        if kind is _LOAD:
+            result = _from_bytes(data[offset:offset + size], "little")
+        elif kind is _STORE:
             data[offset:offset + size] = op.value.to_bytes(size, "little")
             line.dirty = True
+            result = 0
         else:  # RMW
-            old = int.from_bytes(data[offset:offset + size], "little")
-            new = op.modify(old) & ((1 << (8 * size)) - 1)
+            result = _from_bytes(data[offset:offset + size], "little")
+            new = op.modify(result) & ((1 << (8 * size)) - 1)
             data[offset:offset + size] = new.to_bytes(size, "little")
             line.dirty = True
-            result = old
         if self._detects:
             byte_mask = ((1 << size) - 1) << offset
-            self.stats[CORE_PAM_ACCESSES] += 1
+            stats[CORE_PAM_ACCESSES] += 1
             if PamTable.record_access is not _PAM_RECORD_PRISTINE:
                 # The seam is patched (mutation injection): honour it.
-                if kind is OpKind.RMW:
+                if kind is _RMW:
                     self.pam.record_access(block, byte_mask, is_write=True)
                     self.pam.record_access(block, byte_mask, is_write=False)
                 else:
@@ -276,12 +285,12 @@ class L1Controller:
                     f"access to block {block:#x} with no PAM entry")
             gmask = (byte_mask if self._granularity == 1
                      else self.pam.to_granule_mask(byte_mask))
-            if kind is OpKind.RMW:
-                pentry.write_bits |= gmask
+            if kind is _LOAD:
                 pentry.read_bits |= gmask
-            elif kind is OpKind.STORE:
+            elif kind is _STORE:
                 pentry.write_bits |= gmask
             else:
+                pentry.write_bits |= gmask
                 pentry.read_bits |= gmask
         return result
 
@@ -454,7 +463,7 @@ class L1Controller:
             # Consume-then-drop (IS_I): the invalidation was already
             # acknowledged; the fill satisfies exactly one access.
             self._invalidate_line(block, send_md=False)
-        self.queue.schedule(latency, partial(first_cb, result))
+        self.queue.post(latency, first_cb, result)
         # Replay queued ops *now* (hits apply synchronously) so that an op
         # issued later by a multi-outstanding core can never apply before
         # an older queued op — program order per core is preserved.

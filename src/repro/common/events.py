@@ -4,26 +4,39 @@ The whole simulator is driven by one :class:`EventQueue`. Events at the same
 timestamp fire in insertion order (a monotonically increasing sequence number
 breaks ties), which makes every simulation fully deterministic.
 
-Hot-path layout: the heap holds plain ``(time, seq, event)`` tuples so
-ordering is C-level integer-tuple comparison (``seq`` is unique, so the
-event object itself is never compared), and :class:`Event` is a
-``__slots__`` class — no dataclass machinery, no per-event ``__dict__``.
-:meth:`EventQueue.drain` is the tight pop-and-fire loop the simulator runs
-in; :meth:`step` remains as the single-step API for tests and drivers.
+Hot-path layout: the heap holds plain ``(time, seq, fn, arg)`` tuples and
+firing one is ``fn(arg)``.  Ordering is C-level integer-tuple comparison
+(``seq`` is unique, so ``fn``/``arg`` are never compared).  The simulator's
+hot producers — L1 hit and MSHR completions, core COMPUTE/FENCE
+continuations, network deliveries — push a bound method and its one
+argument with :meth:`EventQueue.post`/:meth:`EventQueue.post_at`: no
+per-event handle object and no ``functools.partial``.
+
+:meth:`EventQueue.schedule` is the handle API for zero-argument callbacks:
+it returns an :class:`Event` whose :meth:`Event.cancel` takes the entry off
+the heap (an O(n) scan; nothing on the simulator's hot path cancels).  The
+heap therefore only ever holds live entries, so a cancelled event can never
+move ``now`` or count in ``executed``, :meth:`EventQueue.empty` is an O(1)
+emptiness test, and the pop-and-fire loop needs no per-event liveness
+check.  :meth:`EventQueue.drain` is that loop; :meth:`EventQueue.step`
+remains as the single-step API for tests and drivers.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.common.errors import SimulationError
 
 
 class Event:
-    """A scheduled callback, keyed on the heap by ``(time, seq)``."""
+    """Handle of a :meth:`EventQueue.schedule`-d callback, for cancelling it.
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "queue", "fired")
+    Its heap entry is ``(time, seq, Event._fire, event)``.
+    """
+
+    __slots__ = ("time", "seq", "callback", "cancelled", "queue")
 
     def __init__(self, time: int, seq: int, callback: Callable[[], None],
                  queue: Optional["EventQueue"] = None) -> None:
@@ -31,38 +44,33 @@ class Event:
         self.seq = seq
         self.callback = callback
         self.cancelled = False
-        #: Owning queue; lets cancellation maintain the queue's live count.
+        #: Owning queue; cancellation removes the entry from its heap.
         self.queue = queue
-        #: Set once the event has been popped for execution.
-        self.fired = False
+
+    def _fire(self) -> None:
+        self.callback()
 
     def cancel(self) -> None:
-        """Mark the event so the queue skips it when popped."""
+        """Remove the event from its queue; a no-op once it has fired."""
         if self.cancelled:
             return
         self.cancelled = True
-        if not self.fired and self.queue is not None:
-            self.queue._live -= 1
+        if self.queue is not None:
+            self.queue._remove(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        flags = "".join(f for f, on in (("C", self.cancelled),
-                                        ("F", self.fired)) if on)
-        return f"Event(t={self.time}, seq={self.seq}{', ' + flags if flags else ''})"
+        flag = ", C" if self.cancelled else ""
+        return f"Event(t={self.time}, seq={self.seq}{flag})"
 
 
 class EventQueue:
-    """A time-ordered queue of callbacks with a current-time cursor.
-
-    ``_live`` counts scheduled-but-not-yet-fired, non-cancelled events, so
-    :meth:`empty` is O(1) instead of scanning the heap for cancellations.
-    """
+    """A time-ordered queue of callbacks with a current-time cursor."""
 
     def __init__(self) -> None:
-        self._heap: list = []  # (time, seq, Event) triples
+        self._heap: list = []  # (time, seq, fn, arg) entries, all live
         self._seq = 0
         self._now = 0
         self._executed = 0
-        self._live = 0
 
     @property
     def now(self) -> int:
@@ -74,6 +82,23 @@ class EventQueue:
         """Number of events executed so far (useful for runaway detection)."""
         return self._executed
 
+    def post(self, delay: int, fn: Callable[[Any], None], arg: Any) -> None:
+        """Run ``fn(arg)`` ``delay`` cycles from now; no handle returned."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (self._now + delay, seq, fn, arg))
+
+    def post_at(self, time: int, fn: Callable[[Any], None], arg: Any) -> None:
+        """Run ``fn(arg)`` at absolute ``time`` (>= now); no handle."""
+        if time < self._now:
+            raise SimulationError(
+                f"cannot schedule into the past (time={time}, now={self._now})")
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, fn, arg))
+
     def schedule(self, delay: int, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run ``delay`` cycles from now."""
         if delay < 0:
@@ -82,32 +107,34 @@ class EventQueue:
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, seq, callback, queue=self)
-        heapq.heappush(self._heap, (time, seq, event))
-        self._live += 1
+        heapq.heappush(self._heap, (time, seq, Event._fire, event))
         return event
 
-    def schedule_at(self, time: int, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at absolute ``time`` (>= now)."""
-        return self.schedule(time - self._now, callback)
+    def _remove(self, event: Event) -> None:
+        """Drop ``event``'s entry from the heap (absent once fired)."""
+        heap = self._heap
+        for i, entry in enumerate(heap):
+            if entry[3] is event:
+                last = heap.pop()
+                if i < len(heap):
+                    heap[i] = last
+                    heapq.heapify(heap)
+                return
 
     def empty(self) -> bool:
         """True when no live (non-cancelled) events remain. O(1)."""
-        return self._live == 0
+        return not self._heap
 
     def step(self) -> bool:
-        """Execute the next non-cancelled event. Return False if none left."""
+        """Execute the next event. Return False if none left."""
         heap = self._heap
-        while heap:
-            time, _seq, event = heapq.heappop(heap)
-            if event.cancelled:
-                continue  # cancel() already dropped it from the live count
-            event.fired = True
-            self._live -= 1
-            self._now = time
-            self._executed += 1
-            event.callback()
-            return True
-        return False
+        if not heap:
+            return False
+        time, _seq, fn, arg = heapq.heappop(heap)
+        self._now = time
+        self._executed += 1
+        fn(arg)
+        return True
 
     def drain(self, max_events: Optional[int] = None) -> int:
         """Pop-and-fire until the queue is exhausted; the simulator's loop.
@@ -136,15 +163,11 @@ class EventQueue:
         while heap:
             if executed == limit:
                 break
-            time, _seq, event = pop(heap)
-            if event.cancelled:
-                continue
-            event.fired = True
-            self._live -= 1
+            time, _seq, fn, arg = pop(heap)
             self._now = time
             self._executed += 1
             executed += 1
-            event.callback()
+            fn(arg)
         return executed
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
@@ -156,11 +179,7 @@ class EventQueue:
         executed = 0
         heap = self._heap
         while heap:
-            head_time, _seq, head = heap[0]
-            if head.cancelled:
-                heapq.heappop(heap)
-                continue
-            if head_time > until:
+            if heap[0][0] > until:
                 self._now = until
                 return
             if max_events is not None and executed >= max_events:

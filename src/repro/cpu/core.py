@@ -49,7 +49,8 @@ class InOrderCore:
         self.mem_ops = 0
         self.compute_cycles = 0
         self.mem_stall_cycles = 0
-        self._issue_cycle = 0
+        #: Issue cycle of the outstanding memory op; -1 when there is none.
+        self._issue_cycle = -1
         # Program replay trace (snapshot support): whether the initial
         # ``next`` has run, every result successfully ``send``-ed, and how
         # many ops the program has yielded.
@@ -62,7 +63,17 @@ class InOrderCore:
         self.queue.schedule(0, partial(self._advance, None, True))
 
     def _advance(self, result: Optional[int], first: bool = False) -> None:
-        """Resume the program with the previous op's result and issue next."""
+        """Resume the program with the previous op's result and issue next.
+
+        This is also the L1 completion callback: the stall of an
+        outstanding memory op (issue to completion) is charged here, with
+        no extra call per access.
+        """
+        issued = self._issue_cycle
+        if issued >= 0:
+            # queue._now read directly (the property is per-mem-op hot).
+            self.mem_stall_cycles += self.queue._now - issued
+            self._issue_cycle = -1
         try:
             if first:
                 self._started = True
@@ -83,18 +94,13 @@ class InOrderCore:
         if op.is_memory:
             self.mem_ops += 1
             self._issue_cycle = self.queue._now
-            self.l1.access(op, self._mem_complete)
+            self.l1.access(op, self._advance)
         elif op.kind is OpKind.COMPUTE:
             self.compute_cycles += op.cycles
-            self.queue.schedule(op.cycles, partial(self._advance, 0))
+            self.queue.post(op.cycles, self._advance, 0)
         else:
             # FENCE — in-order, one outstanding op: a timing no-op.
-            self.queue.schedule(0, partial(self._advance, 0))
-
-    def _mem_complete(self, result: int) -> None:
-        # queue._now read directly (the property is per-mem-op hot).
-        self.mem_stall_cycles += self.queue._now - self._issue_cycle
-        self._advance(result)
+            self.queue.post(0, self._advance, 0)
 
     def _finish(self) -> None:
         self.done = True

@@ -110,7 +110,7 @@ class OutOfOrderCore:
     def _issue(self, op: Op) -> None:
         if op.kind == OpKind.COMPUTE:
             self.compute_cycles += op.cycles
-            self.queue.schedule(op.cycles, partial(self._advance, 0))
+            self.queue.post(op.cycles, self._advance, 0)
             return
         if op.kind == OpKind.FENCE:
             self._draining = True
@@ -118,7 +118,7 @@ class OutOfOrderCore:
             return
         if len(self._slots) >= self.window:
             # Window full: stall issue until the oldest slot retires.
-            self.queue.schedule(1, partial(self._issue, op))
+            self.queue.post(1, self._issue, op)
             return
         self.mem_ops += 1
         slot = _WindowSlot(op, self.queue.now)
@@ -128,7 +128,7 @@ class OutOfOrderCore:
         if blocking:
             self._waiting_value = True
         else:
-            self.queue.schedule(1, partial(self._advance, 0))
+            self.queue.post(1, self._advance, 0)
 
     def _complete_slot(self, slot: _WindowSlot, blocking: bool,
                        result: int) -> None:
@@ -137,13 +137,13 @@ class OutOfOrderCore:
         self._retire()
         if blocking:
             self._waiting_value = False
-            self.queue.schedule(0, partial(self._advance, result))
+            self.queue.post(0, self._advance, result)
         self._try_resume_after_drain()
 
     def _try_resume_after_drain(self) -> None:
         if self._draining and not self._slots:
             self._draining = False
-            self.queue.schedule(0, partial(self._advance, 0))
+            self.queue.post(0, self._advance, 0)
 
     # -- retire side ------------------------------------------------------------
 

@@ -51,7 +51,9 @@ from repro.harness.runner import (RunRecord, RunSpec, build_warm_snapshot,
 #: re-simulated instead of replayed.
 #: "3": observability layer — RunSpec grew the (conditionally serialized)
 #: ``obs`` field and records may carry an ``extra["obs"]`` payload.
-CODE_VERSION = "3"
+#: "4": event-heap entries became ``(time, seq, fn, arg)``; warm-start
+#: snapshots pickle the heap, so older ones are rebuilt, not restored.
+CODE_VERSION = "4"
 
 _log = logging.getLogger(__name__)
 

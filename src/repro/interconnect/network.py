@@ -234,12 +234,12 @@ class Network:
             arrival = floor  # FIFO within a virtual channel
         self._last_delivery[key] = arrival
         if not self._hooked:
-            # Fast path: no tracer/sanitizer attached — the scheduled event
-            # invokes the destination handler directly.  partial (not a
-            # lambda) so in-flight deliveries survive machine snapshots.
-            self._queue.schedule_at(arrival, partial(handler, msg))
+            # Fast path: no tracer/sanitizer attached — the heap entry
+            # invokes the destination handler (a bound method, so in-flight
+            # deliveries survive machine snapshots) on the message.
+            self._queue.post_at(arrival, handler, msg)
             return
-        self._queue.schedule_at(arrival, partial(self._deliver, handler, msg))
+        self._queue.post_at(arrival, partial(self._deliver, handler), msg)
         for hook in self.post_send_hooks:
             hook(msg)
 

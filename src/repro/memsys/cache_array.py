@@ -5,8 +5,12 @@ that maps a block address to an entry with bounded associativity and a
 replacement policy. Entries are user-defined objects attached to a
 :class:`CacheEntry` frame that carries the tag and validity.
 
-Two hot-path properties:
+Three hot-path properties:
 
+* **Address index** — a ``block_addr -> entry`` dict, maintained by
+  :meth:`CacheArray.fill` and :meth:`CacheArray.invalidate`, answers
+  :meth:`CacheArray.lookup`/:meth:`CacheArray.peek` with one probe instead
+  of a tag scan over the set's ways.
 * **Lazy sets** — a 16 MB LLC is ~256K entry frames; building them eagerly
   dominated cold-run machine construction.  A set's frames and replacement
   policy materialize on first touch, so untouched sets cost nothing and a
@@ -14,13 +18,15 @@ Two hot-path properties:
 * **Shift/mask indexing** — when block size, slice interleave and set count
   are powers of two (every shipped configuration), tag/set extraction is
   one shift and one mask instead of two divisions and a modulo; the
-  division path remains as the general fallback.
+  division path remains as the general fallback.  Only fills and victim
+  choice index by set; hits never do.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Generic, Iterator, List, Optional, Sequence, TypeVar
+from typing import (Callable, Dict, Generic, Iterator, List, Optional,
+                    Sequence, TypeVar)
 
 from repro.memsys.replacement import ReplacementPolicy, make_policy
 
@@ -37,8 +43,7 @@ def _pow2_bits(value: int) -> Optional[int]:
 class CacheEntry(Generic[T]):
     """One way of one set: a tag frame plus a user payload.
 
-    ``__slots__``: the tag-match loop touches ``valid``/``tag`` on every
-    lookup, and large arrays hold hundreds of thousands of frames.
+    ``__slots__``: large arrays hold hundreds of thousands of frames.
     """
 
     __slots__ = ("valid", "tag", "payload", "way", "set_index")
@@ -58,6 +63,8 @@ class CacheArray(Generic[T]):
 
     The array hashes a block address to a set using the block number modulo
     the set count (after dropping slice-interleaving handled by callers).
+    Addresses are block base addresses of this array's slice (block number
+    ``index_offset`` modulo ``index_divisor``); :meth:`fill` rejects others.
     """
 
     def __init__(
@@ -100,6 +107,8 @@ class CacheArray(Generic[T]):
         #: Sets (and their policies) materialize on first touch.
         self._sets: List[Optional[List[CacheEntry[T]]]] = [None] * num_sets
         self._policies: List[Optional[ReplacementPolicy]] = [None] * num_sets
+        #: Resident block address -> its (valid) entry.
+        self._index: Dict[int, CacheEntry[T]] = {}
         # Statistics.
         self.lookups = 0
         self.hits = 0
@@ -134,47 +143,18 @@ class CacheArray(Generic[T]):
     # -- operations ---------------------------------------------------------
 
     def lookup(self, block_addr: int, touch: bool = True) -> Optional[CacheEntry[T]]:
-        """Return the entry holding ``block_addr`` or None. Updates stats.
-
-        :meth:`peek` folded inline — this runs once per memory access.
-        """
+        """Return the entry holding ``block_addr`` or None. Updates stats."""
         self.lookups += 1
-        shift = self._local_shift
-        if shift is not None:
-            set_index = (block_addr >> shift) & self._set_mask
-            tag = block_addr >> self._tag_shift
-        else:
-            local = (block_addr // self.block_size) // self.index_divisor
-            set_index = local % self.num_sets
-            tag = local // self.num_sets
-        ways = self._sets[set_index]
-        if ways is None:
-            return None
-        for entry in ways:
-            if entry.valid and entry.tag == tag:
-                self.hits += 1
-                if touch:
-                    self._policies[set_index].touch(entry.way)
-                return entry
-        return None
+        entry = self._index.get(block_addr)
+        if entry is not None:
+            self.hits += 1
+            if touch:
+                self._policies[entry.set_index].touch(entry.way)
+        return entry
 
     def peek(self, block_addr: int) -> Optional[CacheEntry[T]]:
-        """Tag-match without touching replacement state or stats."""
-        shift = self._local_shift
-        if shift is not None:
-            set_index = (block_addr >> shift) & self._set_mask
-            tag = block_addr >> self._tag_shift
-        else:
-            local = (block_addr // self.block_size) // self.index_divisor
-            set_index = local % self.num_sets
-            tag = local // self.num_sets
-        ways = self._sets[set_index]
-        if ways is None:
-            return None
-        for entry in ways:
-            if entry.valid and entry.tag == tag:
-                return entry
-        return None
+        """Find ``block_addr`` without touching replacement state or stats."""
+        return self._index.get(block_addr)
 
     def choose_victim(
         self, block_addr: int, protected: Sequence[int] = ()
@@ -202,9 +182,14 @@ class CacheArray(Generic[T]):
         victim so the caller can write back its payload; the in-array entry
         is reused for the new block.
         """
-        existing = self.peek(block_addr)
-        if existing is not None:
+        index = self._index
+        if block_addr in index:
             raise ValueError(f"block {block_addr:#x} already present")
+        if block_addr % self.block_size or (
+                block_addr // self.block_size % self.index_divisor
+                != self.index_offset):
+            raise ValueError(
+                f"{block_addr:#x} is not a block address of this array")
         victim = self.choose_victim(block_addr, protected)
         evicted: Optional[CacheEntry[T]] = None
         if victim.valid:
@@ -215,18 +200,20 @@ class CacheArray(Generic[T]):
                 way=victim.way,
                 set_index=victim.set_index,
             )
+            del index[self.addr_of(victim)]
             self.evictions += 1
             self.valid_evictions += 1
         victim.valid = True
         victim.tag = self._tag_of(block_addr)
         victim.payload = payload
+        index[block_addr] = victim
         self._policies[victim.set_index].touch(victim.way)
         self.fills += 1
         return evicted
 
     def invalidate(self, block_addr: int) -> Optional[T]:
         """Remove ``block_addr``; return its payload if it was present."""
-        entry = self.peek(block_addr)
+        entry = self._index.pop(block_addr, None)
         if entry is None:
             return None
         payload = entry.payload
@@ -243,10 +230,10 @@ class CacheArray(Generic[T]):
         return block_num * self.block_size
 
     def __contains__(self, block_addr: int) -> bool:
-        return self.peek(block_addr) is not None
+        return block_addr in self._index
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.iter_valid())
+        return len(self._index)
 
     def iter_valid(self) -> Iterator[CacheEntry[T]]:
         for ways in self._sets:

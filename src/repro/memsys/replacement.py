@@ -40,8 +40,10 @@ class LruPolicy(ReplacementPolicy):
         self._stack: List[int] = list(range(ways))
 
     def touch(self, way: int) -> None:
-        self._stack.remove(way)
-        self._stack.append(way)
+        stack = self._stack
+        if stack[-1] != way:  # already most recent: nothing moves
+            stack.remove(way)
+            stack.append(way)
 
     def victim(self, protected: Sequence[int] = ()) -> int:
         protected_set = set(protected)

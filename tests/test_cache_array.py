@@ -65,6 +65,16 @@ class TestEviction:
         assert evicted.payload == "a"  # LRU
         assert c.addr_of(evicted) == 0
 
+    def test_evicted_block_leaves_the_index(self):
+        c = make(num_sets=1, ways=2)
+        c.fill(0, "a")
+        c.fill(64, "b")
+        c.fill(128, "c")
+        assert c.peek(0) is None and 0 not in c
+        assert c.lookup(0) is None
+        assert c.peek(128).payload == "c"
+        assert len(c) == 2
+
     def test_lru_respects_touch(self):
         c = make(num_sets=1, ways=2)
         c.fill(0, "a")
@@ -103,6 +113,14 @@ class TestSlicedIndexing:
             addr = (5 + 8 * k) * 64
             c.fill(addr, k)
             assert c.addr_of(c.peek(addr)) == addr
+
+    def test_fill_rejects_foreign_addresses(self):
+        c = make(num_sets=4, ways=2, divisor=8, offset=5)
+        with pytest.raises(ValueError):
+            c.fill(5 * 64 + 8, "unaligned")
+        with pytest.raises(ValueError):
+            c.fill(4 * 64, "other slice")
+        assert len(c) == 0
 
     def test_capacity_usable(self):
         c = make(num_sets=4, ways=2, divisor=8, offset=0)
@@ -148,18 +166,28 @@ def test_property_addr_of_roundtrips(blocks):
                           st.integers(min_value=0, max_value=31)),
                 min_size=1, max_size=300))
 def test_property_fill_invalidate_consistency(ops):
-    """Random fill/invalidate interleavings keep the tag store consistent."""
-    c = make(num_sets=2, ways=4)
-    resident = set()
-    for is_fill, b in ops:
-        addr = b * 64
-        if is_fill:
-            if c.peek(addr) is None:
-                evicted = c.fill(addr, b)
-                resident.add(addr)
-                if evicted is not None:
-                    resident.discard(c.addr_of(evicted))
-        else:
-            c.invalidate(addr)
-            resident.discard(addr)
-    assert {c.addr_of(e) for e in c.iter_valid()} == resident
+    """Random fill/invalidate interleavings keep the tag store and the
+    address index consistent, on a plain and on a sliced array."""
+    for divisor, offset in ((1, 0), (8, 5)):
+        c = make(num_sets=2, ways=4, divisor=divisor, offset=offset)
+        domain = [(offset + divisor * b) * 64 for b in range(32)]
+        resident = set()
+        for is_fill, b in ops:
+            addr = domain[b]
+            if is_fill:
+                if c.peek(addr) is None:
+                    evicted = c.fill(addr, b)
+                    resident.add(addr)
+                    if evicted is not None:
+                        resident.discard(c.addr_of(evicted))
+            else:
+                c.invalidate(addr)
+                resident.discard(addr)
+            for a in domain:
+                entry = c.peek(a)
+                assert (entry is not None) == (a in resident) == (a in c)
+                if entry is not None:
+                    assert entry.valid and c.addr_of(entry) == a
+                assert c.lookup(a, touch=False) is entry
+            assert len(c) == len(resident)
+        assert {c.addr_of(e) for e in c.iter_valid()} == resident

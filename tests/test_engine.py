@@ -426,18 +426,19 @@ class TestCliEngineFlags:
 
 
 class TestCacheCompatibility:
-    """The observability release bumps CODE_VERSION deliberately: cached
-    entries predating it are invalidated (re-simulated), but the *results*
-    they held are still reproduced bit-for-bit by the new code."""
+    """CODE_VERSION bumps are deliberate: cached entries predating one are
+    invalidated (re-simulated), but the *results* they held are still
+    reproduced bit-for-bit by the new code."""
 
     FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "data",
                                "engine_cache")
     FIXTURE_SPEC = RunSpec(tag="ww", mode=ProtocolMode.FSLITE, scale=0.5)
 
-    def test_code_version_bumped_for_obs(self):
-        # RunSpec grew the (conditionally serialized) obs field and records
-        # may carry extra["obs"]; the stamp marks the cache-format epoch.
-        assert CODE_VERSION == "3"
+    def test_code_version_bumped_for_event_heap(self):
+        # "3" marked the observability cache format; "4" marks the event
+        # heap's (time, seq, fn, arg) entries, which warm-start snapshots
+        # pickle, so a snapshot cached by older code is rebuilt.
+        assert CODE_VERSION == "4"
 
     def test_spec_digest_unchanged_without_obs(self):
         # The obs field is only serialized when set, so every pre-existing
@@ -457,7 +458,7 @@ class TestCacheCompatibility:
         engine = Engine(cache_dir=cache)
         engine.run_one(self.FIXTURE_SPEC)
         assert engine.stats["cache_hits"] == 0, \
-            "a version-2 entry must not replay under version 3"
+            f"a version-2 entry must not replay under version {CODE_VERSION}"
         assert engine.stats["executed"] == 1
         with open(cache / (self.FIXTURE_SPEC.digest() + ".json")) as fh:
             assert json.load(fh)["code_version"] == CODE_VERSION

@@ -128,3 +128,71 @@ class TestRunLimits:
             q.schedule(i, lambda: None)
         q.run()
         assert q.executed == 5
+
+
+class TestHandleFreeEntries:
+    """``post``/``post_at`` push ``(time, seq, fn, arg)`` with no handle;
+    they share the heap and the sequence counter with ``schedule``."""
+
+    def test_post_and_schedule_same_time_fire_in_insertion_order(self):
+        q = EventQueue()
+        log = []
+        q.post(4, log.append, "post-1")
+        q.schedule(4, lambda: log.append("sched-2"))
+        q.post_at(4, log.append, "post_at-3")
+        q.schedule(4, lambda: log.append("sched-4"))
+        q.post(4, log.append, "post-5")
+        q.post(2, log.append, "early")
+        q.run()
+        assert log == ["early", "post-1", "sched-2", "post_at-3",
+                       "sched-4", "post-5"]
+        assert q.executed == 6
+
+    def test_post_into_the_past_rejected(self):
+        q = EventQueue()
+        q.post(5, lambda _: None, None)
+        q.run()
+        with pytest.raises(SimulationError):
+            q.post(-1, lambda _: None, None)
+        with pytest.raises(SimulationError):
+            q.post_at(4, lambda _: None, None)
+
+    def test_cancelled_event_leaves_now_and_executed_untouched(self):
+        q = EventQueue()
+        seen = []
+        q.post(3, seen.append, "a")
+        late = q.schedule(50, lambda: seen.append("late"))
+        late.cancel()
+        q.run()
+        assert seen == ["a"]
+        assert q.now == 3  # the cancelled event's time was never reached
+        assert q.executed == 1
+        assert q.empty()
+        assert q.step() is False
+        assert q.now == 3 and q.executed == 1
+
+    def test_cancel_in_the_middle_keeps_heap_order(self):
+        q = EventQueue()
+        log = []
+        events = [q.schedule(t, lambda t=t: log.append(t))
+                  for t in (9, 2, 7, 4, 8, 1, 6)]
+        q.post(5, log.append, 5)
+        events[2].cancel()  # t=7
+        events[5].cancel()  # t=1
+        q.run()
+        assert log == [2, 4, 5, 6, 8, 9]
+        assert q.executed == 6
+
+    def test_run_until_does_not_fire_post_due_after_until(self):
+        q = EventQueue()
+        log = []
+        q.post(5, log.append, "in")
+        q.post_at(11, log.append, "after")
+        q.run(until=10)
+        assert log == ["in"]
+        assert q.now == 10
+        assert q.executed == 1
+        assert not q.empty()
+        q.run()
+        assert log == ["in", "after"]
+        assert q.now == 11

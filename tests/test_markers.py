@@ -95,6 +95,16 @@ def test_ci_runs_trace_smoke():
         "perf-smoke no longer uploads trace benchmark results"
 
 
+def test_ci_gates_perfbench_digests():
+    """The CI test job runs every perfbench workload and fails on a failed
+    unit or a digest mismatch (run.py itself exits 0 either way)."""
+    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    assert "perfbench/run.py" in workflow
+    for workload in ("fs-apps", "trace-replay", "diff-campaign"):
+        assert workload in workflow, f"CI does not run perfbench {workload}"
+    assert "r['failed'] == 0 and r['correct'] is True" in workflow
+
+
 def test_benchmarks_conftest_applies_bench_marker():
     source = (BENCHMARKS / "conftest.py").read_text(encoding="utf-8")
     assert "pytest.mark.bench" in source

@@ -338,6 +338,35 @@ def test_engine_warm_disk_cache_hit_and_quarantine(tmp_path):
     assert (tmp_path / ".quarantine" / warm_files[0].name).exists()
 
 
+def test_engine_warm_stale_code_version_is_rebuilt(tmp_path):
+    """A warm snapshot stamped by other code (its pickled event heap may
+    not match this code's) is rebuilt and re-stamped, never restored."""
+    import pickle
+
+    from repro.harness.engine import CODE_VERSION
+
+    spec = RunSpec(tag="RC", scale=SCALE)
+    cold = execute_spec(spec)
+    warm = RunSpec(tag="RC", scale=SCALE, warmup=cold.cycles // 2)
+    Engine(cache_dir=tmp_path).run_many([warm])
+    (warm_file,) = tmp_path.glob("warm_*.pkl")
+    data = pickle.loads(warm_file.read_bytes())
+    data["code_version"] = f"{CODE_VERSION}-stale"
+    warm_file.write_bytes(pickle.dumps(data))
+    for p in tmp_path.glob("*.json"):
+        p.unlink()
+
+    engine = Engine(cache_dir=tmp_path)
+    records = engine.run_many([warm])
+    assert engine.stats["warm_hits"] == 0
+    assert engine.stats["warm_built"] == 1
+    assert engine.stats["quarantined"] == 0
+    assert records[0].cycles == cold.cycles
+    assert records[0].stats.summary() == cold.stats.summary()
+    rebuilt = pickle.loads(warm_file.read_bytes())
+    assert rebuilt["code_version"] == CODE_VERSION
+
+
 def test_engine_warm_build_failure_falls_back_cold(monkeypatch):
     import repro.harness.engine as engine_mod
 
