@@ -11,33 +11,39 @@ Four tools live here:
   transient-context age limits).
 * :mod:`repro.check.fuzz` — a random protocol tester that drives
   randomized per-line load/store/RMW/evict streams across the three
-  protocol modes with the sanitizer enabled, and delta-debugs any failing
-  schedule down to a minimal reproducing pytest case.
+  protocol modes with the sanitizer enabled.  It also holds the one
+  schedule runner (:func:`execute_schedule`) and the one campaign core
+  (:func:`run_campaign`, :class:`Finding`, :class:`CampaignResult`,
+  :func:`render_pytest_repro`) that the fuzz, diff and chaos campaigns
+  share: every failing case is delta-debugged down to a minimal pytest
+  repro that makes the exact runner call the campaign made.
 * :mod:`repro.check.refmodel` — a timing-agnostic, transient-state-free
   atomic machine: a second, independent implementation of the protocol's
   observable semantics (final memory image + ground-truth access sets)
   that consumes the same translated op schedules as the detailed
   simulator.
 * :mod:`repro.check.diff` — the differential driver: replays any schedule
-  on the detailed machine (every protocol mode) and on the atomic
-  reference, comparing memory images, detection verdicts, metadata,
-  counters and cross-mode agreement; ddmin-shrinks divergences and proves
-  the oracle has teeth via the seeded mutations of
-  :mod:`repro.check.mutations`.
+  on the detailed machine (every protocol mode, through the one runner)
+  and on the atomic reference, comparing memory images, detection
+  verdicts, metadata, counters and cross-mode agreement; its campaigns
+  shrink divergences and prove the oracle has teeth via the seeded
+  mutations of :mod:`repro.check.mutations`.
 """
 
 from repro.check.sanitizer import InvariantViolation, Sanitizer
 from repro.check.mutations import MUTATIONS, mutation_context
 from repro.check.fuzz import (
     CampaignResult,
+    Finding,
     FuzzFailure,
-    FuzzFinding,
     FuzzOp,
     FuzzReport,
+    execute_schedule,
     fuzz_campaign,
     fuzz_config,
     make_schedule,
     render_pytest_repro,
+    run_campaign,
     run_schedule,
     schedule_to_ops,
     shrink_schedule,
@@ -65,14 +71,16 @@ __all__ = [
     "MUTATIONS",
     "mutation_context",
     "CampaignResult",
+    "Finding",
     "FuzzFailure",
-    "FuzzFinding",
     "FuzzOp",
     "FuzzReport",
+    "execute_schedule",
     "fuzz_campaign",
     "fuzz_config",
     "make_schedule",
     "render_pytest_repro",
+    "run_campaign",
     "run_schedule",
     "schedule_to_ops",
     "shrink_schedule",

@@ -1,8 +1,10 @@
-"""Random protocol tester with schedule shrinking.
+"""Random protocol tester, the one schedule runner, and the one campaign
+core shared by ``repro fuzz``, ``repro diff`` and ``repro chaos``.
 
-Generates randomized per-line load/store/RMW/evict schedules, runs them on
-a deliberately stress-prone machine (tiny caches, tiny SAM, τP = 1) with
-the online sanitizer attached, and checks three failure channels:
+Generates randomized per-line load/store/RMW/evict schedules and runs them
+on a deliberately stress-prone machine (tiny caches, tiny SAM, τP = 1) with
+the online sanitizer attached.  :func:`execute_schedule` is the only runner
+of that machine; it judges a schedule through four failure channels:
 
 1. the run itself (invariant violations, protocol errors, deadlocks, and
    in-program load-value assertions),
@@ -11,6 +13,9 @@ the online sanitizer attached, and checks three failure channels:
    schedule alone, and
 4. (opt-in, ``differential=True``) a full differential comparison against
    the atomic reference model of :mod:`repro.check.refmodel`.
+
+:func:`run_schedule`, :func:`repro.check.diff.run_differential` and
+:func:`repro.faults.chaos.run_chaos_case` are parameterizations of it.
 
 Reference values are computable for *any* sub-schedule because schedules
 are built from single-writer slots (each thread owns one 8-byte slot per
@@ -27,15 +32,21 @@ Schedule families:
 * ``mixed``    — both in the same lines: privatization attempts keep
   colliding with true sharing (abort/terminate churn).
 
-A failing schedule is shrunk to a minimal reproducing program and rendered
-as a ready-to-paste pytest case by :func:`render_pytest_repro`.
+:func:`run_campaign` is the one campaign loop (generate a :class:`Case`,
+run it, shrink a failure, render it): :func:`fuzz_campaign`,
+:func:`repro.check.diff.diff_campaign`,
+:func:`repro.check.diff.hunt_mutation_escape` and
+:func:`repro.faults.chaos.chaos_campaign` each feed it their cases.  A
+failing case becomes a :class:`Finding` whose ready-to-paste pytest repro
+(:func:`render_pytest_repro`) makes the exact runner call the campaign made.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Tuple)
 
 from repro.check.mutations import mutation_context
 from repro.check.sanitizer import InvariantViolation, Sanitizer
@@ -43,8 +54,9 @@ from repro.coherence.states import ProtocolMode
 from repro.common.config import CacheConfig, SystemConfig
 from repro.common.errors import ReproError
 from repro.cpu.ops import Op, compute, fetch_add, load, store
-from repro.system.builder import build_machine
-from repro.system.simulator import Simulator, flush_machine_memory
+from repro.system.builder import Machine, build_machine
+from repro.system.simulator import MemoryImage, Simulator, flush_machine_memory
+from repro.system.stats import SimStats
 
 #: Base address of the fuzzed lines (arbitrary, away from zero).
 BASE = 0x40000
@@ -87,36 +99,20 @@ class FuzzFailure:
 
 @dataclass
 class FuzzReport:
-    """Outcome of one schedule execution."""
+    """Outcome of one schedule execution (:func:`execute_schedule`)."""
 
     ok: bool
     failure: Optional[FuzzFailure] = None
     cycles: int = 0
-    blocks_checked: int = 0
+    stats: Optional[SimStats] = None
+    #: Faults the injector fired (:class:`repro.faults.injector.FiredFault`).
+    fired: list = field(default_factory=list)
 
-
-@dataclass
-class FuzzFinding:
-    """One failing fuzz case, shrunk and rendered."""
-
-    case_seed: int
-    family: str
-    mode: ProtocolMode
-    mutation: Optional[str]
-    failure: FuzzFailure
-    schedule: List[FuzzOp]
-    shrunk: List[FuzzOp]
-    repro_source: str
-
-
-@dataclass
-class CampaignResult:
-    iterations: int
-    findings: List[FuzzFinding] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
+    def fired_by_kind(self) -> Dict[str, int]:
+        out: Dict[str, int] = {}
+        for fault in self.fired:
+            out[fault.kind] = out.get(fault.kind, 0) + 1
+        return out
 
 
 # --------------------------------------------------------------- machine
@@ -216,7 +212,7 @@ def schedule_to_ops(
     single-writer slots exactly and shared words as sums.
 
     This is the single schedule→:class:`Op` translation: the detailed
-    simulator's thread programs (:func:`_build_programs`) and the atomic
+    simulator's thread programs (:func:`execute_schedule`) and the atomic
     reference model (:mod:`repro.check.refmodel`) both consume it, so the
     two machines execute the *same* operation footprint by construction.
 
@@ -347,11 +343,15 @@ def _translate(
     num_threads: int,
     config: SystemConfig,
     check_loads: bool = True,
+    flat=None,
 ) -> Tuple[List[List[Tuple[Op, Optional[int], str]]],
            List[Tuple[int, int, str]]]:
-    """Per-thread translated item lists plus the expected final image."""
-    flat, expectations = schedule_to_ops(
-        schedule, num_threads, config, check_loads=check_loads)
+    """Per-thread translated item lists plus the expected final image
+    (empty when given ``flat``, the schedule's pre-translated stream)."""
+    expectations: List[Tuple[int, int, str]] = []
+    if flat is None:
+        flat, expectations = schedule_to_ops(
+            schedule, num_threads, config, check_loads=check_loads)
     per_thread: List[List[Tuple[Op, Optional[int], str]]] = [
         [] for _ in range(num_threads)]
     for tid, op, expected, label in flat:
@@ -359,21 +359,157 @@ def _translate(
     return per_thread, expectations
 
 
-def _build_programs(
+class ScheduleRun(NamedTuple):
+    """What one :func:`execute_schedule` call leaves behind."""
+
+    machine: Machine
+    report: FuzzReport
+    #: The flushed final memory image (None when the run itself failed).
+    image: Optional[MemoryImage] = None
+    #: The differential comparison (None unless one ran).
+    diff: Optional["DiffReport"] = None
+
+
+def execute_schedule(
     schedule: List[FuzzOp],
+    mode: ProtocolMode,
     num_threads: int,
     config: SystemConfig,
+    mutation: Optional[str] = None,
+    sanitize: bool = True,
     check_loads: bool = True,
-) -> Tuple[list, List[Tuple[int, int, str]]]:
-    """Translate a schedule into thread programs plus the expected final
-    image (see :func:`schedule_to_ops` for the model and ``check_loads``).
+    plan=None,
+    differential: bool = False,
+    reference=None,
+    check_verdicts: bool = True,
+    check_counters: bool = True,
+    max_events: int = 5_000_000,
+    replay=None,
+    flat=None,
+) -> ScheduleRun:
+    """Run one schedule on the fuzz machine and judge it; never raises for
+    protocol failures.  The one runner behind :func:`run_schedule`,
+    :func:`repro.check.diff.run_differential` and
+    :func:`repro.faults.chaos.run_chaos_case`.
 
-    Returns ``(programs, expectations)`` where each expectation is
-    ``(addr, want_value, label)`` for one 8-byte word.
+    Translates the schedule; resumes from or records into the ``replay``
+    cache (:class:`repro.check.replay.PrefixReplayCache`, bit-for-bit
+    neutral; dropped for unscripted fault plans, whose injector RNG its
+    guards do not model); builds the machine and attaches a
+    :class:`~repro.faults.injector.FaultInjector` for ``plan``, then the
+    sanitizer, so a state fault is judged at the same delivery; runs it
+    through the four failure channels of the module doc, flushing memory
+    once.  ``differential`` compares against ``reference`` (computed here
+    when None).  ``check_loads=False`` runs assertion-free programs (same
+    op stream) and skips the expected-image check, so only the sanitizer
+    and the differential oracle judge; ``flat`` is that stream
+    pre-translated, for callers that share one translation.
     """
-    per_thread, expectations = _translate(
-        schedule, num_threads, config, check_loads=check_loads)
-    return _SchedulePrograms(per_thread)(), expectations
+    if replay is not None and plan is not None and plan.script is None:
+        replay = None
+    with mutation_context(mutation):
+        per_thread, expectations = _translate(
+            schedule, num_threads, config, check_loads=check_loads,
+            flat=flat)
+        factory = _SchedulePrograms(per_thread)
+        machine = None
+        resume = False
+        checkpoint_every = on_checkpoint = None
+        if replay is not None:
+            from repro.check.replay import (
+                CheckpointHook,
+                fault_script_set,
+                thread_keys,
+            )
+
+            keys = thread_keys(per_thread)
+            script = fault_script_set(plan)
+            plan_key = ((plan.delay_cycles, plan.state_period)
+                        if plan is not None else None)
+            context = (mode.value, num_threads, bool(sanitize), mutation,
+                       bool(check_loads), plan_key,
+                       replay.config_key(config))
+            hit = replay.lookup(context, keys, fault_script=script)
+            if hit is not None:
+                machine = replay.restore(hit, factory)
+                resume = True
+                restored = machine.extras.get("injector")
+                if restored is not None:
+                    # The snapshot carries the script it was recorded
+                    # under; swap in the candidate's (the decided prefix
+                    # is identical by the guard, the future differs).
+                    restored.plan = plan
+                    restored._script = {(e.kind, e.opportunity)
+                                        for e in plan.script}
+            if replay.should_record(context, resumed=resume):
+                checkpoint_every = replay.checkpoint_every
+                on_checkpoint = CheckpointHook(replay, context, keys,
+                                               fault_script=script)
+        if machine is None:
+            machine = build_machine(config, mode)
+            machine.attach_programs(program_factory=factory)
+            if plan is not None:
+                from repro.faults.injector import FaultInjector
+
+                machine.extras["injector"] = \
+                    FaultInjector(machine, plan).attach()
+            if sanitize:
+                machine.extras["sanitizer"] = Sanitizer(machine).attach()
+        injector = machine.extras.get("injector")
+        sanitizer = machine.extras.get("sanitizer")
+        report = FuzzReport(False)
+        try:
+            result = Simulator(machine, max_events=max_events).run(
+                resume=resume, checkpoint_every=checkpoint_every,
+                on_checkpoint=on_checkpoint)
+            if sanitizer is not None:
+                sanitizer.check_all()
+        except InvariantViolation as exc:
+            report.failure = FuzzFailure(
+                "invariant", type(exc).__name__, str(exc))
+        except (ReproError, AssertionError) as exc:
+            report.failure = FuzzFailure("run", type(exc).__name__, str(exc))
+        finally:
+            if sanitizer is not None:
+                sanitizer.detach()
+            if injector is not None:
+                report.fired = list(injector.fired)
+                injector.detach()
+        if report.failure is not None:
+            return ScheduleRun(machine, report)
+        report.cycles, report.stats = result.cycles, result.stats
+        image = flush_machine_memory(machine)
+        if check_loads:
+            for addr, want, label in expectations:
+                base = addr & ~(config.block_size - 1)
+                data = image.get(base, bytes(config.block_size))
+                off = addr - base
+                got = int.from_bytes(data[off:off + SLOT], "little")
+                if got != want:
+                    report.failure = FuzzFailure(
+                        "final-image", "mismatch",
+                        f"{label}: final value {got:#x}, expected {want:#x}")
+                    return ScheduleRun(machine, report, image)
+        diff = None
+        if differential:
+            # Imported lazily: repro.check.diff imports this module.
+            from repro.check.diff import differential_check
+            from repro.check.refmodel import run_reference
+
+            if reference is None:
+                reference = (
+                    replay.ref_run(schedule, num_threads, config)
+                    if replay is not None
+                    else run_reference(schedule, num_threads, config))
+            diff = differential_check(machine, reference, image=image,
+                                      check_verdicts=check_verdicts,
+                                      check_counters=check_counters)
+            if diff.divergences:
+                first = diff.divergences[0]
+                report.failure = FuzzFailure(
+                    "differential", first.kind, first.describe())
+        report.ok = report.failure is None
+        return ScheduleRun(machine, report, image, diff)
 
 
 def run_schedule(
@@ -388,93 +524,21 @@ def run_schedule(
     check_loads: bool = True,
     replay=None,
 ) -> FuzzReport:
-    """Execute one schedule; never raises for protocol failures.
+    """Execute one schedule on the fuzz machine (:func:`execute_schedule`)
+    and return its report; never raises for protocol failures.
 
-    ``differential=True`` additionally replays the schedule on the atomic
-    reference model (:mod:`repro.check.refmodel`) and compares final memory,
-    detection verdicts, metadata attribution and counter bounds
-    (:func:`repro.check.diff.differential_check`); a divergence fails the
-    report with stage ``"differential"``.  ``check_loads=False`` builds
-    assertion-free programs (same op stream) so failures can only come from
-    external oracles.
-
-    ``replay`` (a :class:`repro.check.replay.PrefixReplayCache`) resumes
-    the run from the deepest memoized snapshot whose per-thread op prefix
-    matches this schedule, and checkpoints this run for later candidates —
-    results are bit-for-bit identical to a cold run.  Shrink loops pass one
-    cache per session; one-shot callers leave it None.
+    ``differential=True`` adds the full differential comparison against
+    the atomic reference model; a divergence fails the report with stage
+    ``"differential"``.  ``replay`` (a
+    :class:`repro.check.replay.PrefixReplayCache`) resumes from memoized
+    snapshots — shrink loops pass one cache per session; one-shot callers
+    leave it None.
     """
-    config = config or fuzz_config(num_threads)
-    with mutation_context(mutation):
-        per_thread, expectations = _translate(
-            schedule, num_threads, config, check_loads=check_loads)
-        factory = _SchedulePrograms(per_thread)
-        machine = None
-        resume = False
-        checkpoint_every = on_checkpoint = None
-        if replay is not None:
-            from repro.check.replay import CheckpointHook, thread_keys
-
-            keys = thread_keys(per_thread)
-            context = ("fuzz", mode.value, num_threads, bool(sanitize),
-                       mutation, bool(check_loads),
-                       replay.config_key(config))
-            hit = replay.lookup(context, keys)
-            if hit is not None:
-                machine = replay.restore(hit, factory)
-                resume = True
-            if replay.should_record(context, resumed=resume):
-                checkpoint_every = replay.checkpoint_every
-                on_checkpoint = CheckpointHook(replay, context, keys)
-        if machine is None:
-            machine = build_machine(config, mode)
-            machine.attach_programs(program_factory=factory)
-            if sanitize:
-                machine.extras["sanitizer"] = Sanitizer(machine).attach()
-        sanitizer = machine.extras.get("sanitizer")
-        try:
-            try:
-                result = Simulator(machine, max_events=max_events).run(
-                    resume=resume, checkpoint_every=checkpoint_every,
-                    on_checkpoint=on_checkpoint)
-                if sanitizer is not None:
-                    sanitizer.check_all()
-            except InvariantViolation as exc:
-                return FuzzReport(False, FuzzFailure(
-                    "invariant", type(exc).__name__, str(exc)))
-            except (ReproError, AssertionError) as exc:
-                return FuzzReport(False, FuzzFailure(
-                    "run", type(exc).__name__, str(exc)))
-        finally:
-            if sanitizer is not None:
-                sanitizer.detach()
-        image = flush_machine_memory(machine)
-        for addr, want, label in expectations:
-            base = addr & ~(config.block_size - 1)
-            data = image.get(base, bytes(config.block_size))
-            off = addr - base
-            got = int.from_bytes(data[off:off + SLOT], "little")
-            if got != want:
-                return FuzzReport(False, FuzzFailure(
-                    "final-image", "mismatch",
-                    f"{label}: final value {got:#x}, expected {want:#x}"))
-        if differential:
-            # Imported lazily: repro.check.diff imports this module.
-            from repro.check.diff import differential_check
-            from repro.check.refmodel import run_reference
-
-            if replay is not None:
-                ref = replay.ref_run(schedule, num_threads, config)
-            else:
-                ref = run_reference(schedule, num_threads, config)
-            diff = differential_check(machine, ref)
-            if diff.divergences:
-                first = diff.divergences[0]
-                return FuzzReport(False, FuzzFailure(
-                    "differential", first.kind, first.detail))
-        return FuzzReport(
-            True, cycles=result.cycles,
-            blocks_checked=sanitizer.blocks_checked if sanitizer else 0)
+    return execute_schedule(
+        schedule, mode, num_threads, config or fuzz_config(num_threads),
+        mutation=mutation, sanitize=sanitize, check_loads=check_loads,
+        differential=differential, max_events=max_events,
+        replay=replay).report
 
 
 # ------------------------------------------------------------- shrinking
@@ -551,38 +615,56 @@ def render_schedule(schedule: List[FuzzOp], indent: str = "        ") -> str:
     return "\n".join(lines)
 
 
+def _source(value) -> str:
+    """Python source for one runner argument."""
+    if isinstance(value, ProtocolMode):
+        return f"ProtocolMode.{value.name}"
+    if isinstance(value, list):
+        return f"[{', '.join(_source(item) for item in value)}]"
+    return repr(value)
+
+
 def render_pytest_repro(
     schedule: List[FuzzOp],
-    mode: ProtocolMode,
-    mutation: Optional[str],
+    runner: Callable,
+    call: Dict[str, object],
     failure: FuzzFailure,
     case_seed: Optional[int] = None,
 ) -> str:
-    """Render a failing schedule as a ready-to-paste pytest case.
+    """Render ``runner(schedule, **call)`` as a ready-to-paste pytest case.
 
-    The generated test asserts the schedule *passes*, so it fails while
-    the reproduced bug exists and goes green once it is fixed.
+    The call is rendered argument for argument, so the repro runs exactly
+    what the campaign ran.  The generated test asserts the call *passes*,
+    so it fails while the reproduced bug exists and goes green once it is
+    fixed.
     """
-    name_bits = [mode.value]
-    if mutation:
-        name_bits.append(mutation.replace("-", "_"))
+    verb = runner.__module__.rsplit(".", 1)[-1]
+    name_bits = [m.value for m in call.get("modes") or [call["mode"]]]
+    if call.get("mutation"):
+        name_bits.append(call["mutation"].replace("-", "_"))
     if case_seed is not None:
         name_bits.append(f"seed{case_seed}")
-    name = "test_fuzz_repro_" + "_".join(name_bits)
-    mutation_arg = f", mutation={mutation!r}" if mutation else ""
-    header = (f"# Shrunk from a {len(schedule)}-op failing fuzz schedule.\n"
-              f"# Failure: {failure.stage}/{failure.kind}")
-    return f'''{header}
-from repro.check.fuzz import FuzzOp, run_schedule
-from repro.coherence.states import ProtocolMode
+    imports = {"repro.check.fuzz": {"FuzzOp"},
+               "repro.coherence.states": {"ProtocolMode"}}
+    imports.setdefault(runner.__module__, set()).add(runner.__name__)
+    if call.get("plan") is not None:
+        imports["repro.faults"] = {"FaultEvent", "FaultPlan"}
+    import_lines = "\n".join(f"from {module} import {', '.join(sorted(names))}"
+                             for module, names in sorted(imports.items()))
+    args = "".join(f"        {name}={_source(value)},\n"
+                   for name, value in call.items())
+    return f'''# Shrunk from a failing {verb} case.
+# Failure: {failure.stage}/{failure.kind}
+{import_lines}
 
 
-def {name}():
+def test_{verb}_repro_{"_".join(name_bits)}():
     schedule = [
 {render_schedule(schedule)}
     ]
-    report = run_schedule(
-        schedule, mode=ProtocolMode.{mode.name}{mutation_arg})
+    report = {runner.__name__}(
+        schedule,
+{args}    )
     assert report.ok, report.failure.describe()
 '''
 
@@ -591,6 +673,230 @@ def {name}():
 
 
 FAMILIES = ("disjoint", "shared", "mixed")
+
+
+def seeded_schedules(
+    seed: int,
+    count: int,
+    families: List[str],
+    stride: int = 1,
+    num_threads: int = 4,
+    num_lines: int = 3,
+    length: int = 80,
+) -> Iterator[Tuple[int, int, str, List[FuzzOp]]]:
+    """``(index, case_seed, family, schedule)`` for the first ``count``
+    cases of the campaign seeded ``seed``; the schedule family rotates
+    through ``families`` every ``stride`` cases."""
+    rng = random.Random(seed)
+    for index in range(count):
+        case_seed = rng.randrange(1 << 32)
+        family = families[(index // stride) % len(families)]
+        yield index, case_seed, family, make_schedule(
+            family, random.Random(case_seed), num_threads=num_threads,
+            num_lines=num_lines, length=length)
+
+
+@dataclass
+class Case:
+    """One campaign case: a generated schedule and the exact runner call
+    to make on it — the call a failure's repro renders verbatim."""
+
+    case_seed: int
+    family: str
+    schedule: List[FuzzOp]
+    #: :func:`run_schedule`, :func:`repro.check.diff.run_differential` or
+    #: :func:`repro.faults.chaos.run_chaos_case`.
+    runner: Callable
+    #: The runner's keyword arguments after the schedule.
+    call: Dict[str, object]
+    #: The machine config ``call`` builds, made once for every run.
+    config: SystemConfig
+    fault_family: Optional[str] = None
+    #: The fault-free twin's report (faulted cases; set by the loop).
+    twin: Optional[FuzzReport] = None
+
+    @property
+    def faulted(self) -> bool:
+        return self.call.get("plan") is not None
+
+    def at(self, candidate: Optional[list]
+           ) -> Tuple[List[FuzzOp], Dict[str, object]]:
+        """The runner call on a shrink ``candidate`` (None: the case as
+        generated): a sub-schedule, or for a faulted case a sub-script of
+        its fired fault events."""
+        if candidate is None:
+            return self.schedule, self.call
+        if self.faulted:
+            return self.schedule, {**self.call, "plan": replace(
+                self.call["plan"], script=tuple(candidate))}
+        return candidate, self.call
+
+    def run(self, candidate: Optional[list] = None, replay=None, **override):
+        schedule, call = self.at(candidate)
+        return self.runner(schedule, config=self.config, replay=replay,
+                           **{**call, **override})
+
+
+@dataclass
+class Finding:
+    """One failing campaign case, shrunk and rendered."""
+
+    case_seed: int
+    family: str
+    schedule: List[FuzzOp]
+    #: The minimal failing schedule — or, for a faulted case, fault script.
+    shrunk: list
+    failure: FuzzFailure
+    runner: Callable
+    #: The runner call the repro makes (on ``shrunk`` or ``schedule``).
+    call: Dict[str, object]
+    fault_family: Optional[str] = None
+    fired: list = field(default_factory=list)
+
+    @property
+    def mode(self) -> Optional[ProtocolMode]:
+        return self.call.get("mode")
+
+    @property
+    def mutation(self) -> Optional[str]:
+        return self.call.get("mutation")
+
+    @property
+    def plan(self):
+        return self.call.get("plan")
+
+    @property
+    def detail(self) -> str:
+        return self.failure.detail
+
+    @property
+    def repro_source(self) -> str:
+        schedule = self.schedule if self.plan is not None else self.shrunk
+        return render_pytest_repro(schedule, self.runner, self.call,
+                                   self.failure, self.case_seed)
+
+    def describe(self) -> str:
+        modes = self.call.get("modes") or [self.mode]
+        where = f"{'+'.join(m.value for m in modes)}/{self.family}"
+        if self.fault_family is not None:
+            where += f" under {self.fault_family} faults"
+        if self.mutation:
+            where += f" +{self.mutation}"
+        if self.plan is not None:
+            shrunk = (f"{len(self.fired)} fault(s) fired, script shrunk to "
+                      f"{len(self.shrunk)} event(s)")
+        elif self.fault_family is not None:
+            shrunk = "fault-free twin failed: plain protocol bug"
+        else:
+            shrunk = (f"schedule: {len(self.schedule)} op(s), shrunk to "
+                      f"{len(self.shrunk)}")
+        return (f"case seed {self.case_seed}: {where}\n"
+                f"  {self.failure.describe()}\n  {shrunk}")
+
+
+@dataclass
+class CampaignResult:
+    iterations: int
+    findings: List[Finding] = field(default_factory=list)
+    #: Differential campaigns: reference block comparisons made.
+    blocks_compared: int = 0
+    #: Chaos campaigns: surviving cases and their degradation.
+    cases: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.findings
+
+    def family_fired(self) -> Dict[str, int]:
+        """Total effective faults per fault family across surviving cases."""
+        from repro.faults.plan import CHAOS_FAMILIES
+
+        out = dict.fromkeys(CHAOS_FAMILIES, 0)
+        for case in self.cases:
+            out[case.fault_family] += case.report.total_fired
+        return out
+
+    def family_degraded(self) -> Dict[str, bool]:
+        """Per fault family: did some case fire faults *and* measure a
+        nonzero degradation delta vs its twin?  (The acceptance check that
+        injection is real, not vacuous.)"""
+        from repro.faults.plan import CHAOS_FAMILIES
+
+        out = dict.fromkeys(CHAOS_FAMILIES, False)
+        for case in self.cases:
+            if case.report.degraded:
+                out[case.fault_family] = True
+        return out
+
+
+def run_campaign(
+    result: CampaignResult,
+    cases: Iterable[Case],
+    shrink: bool = True,
+    shrink_budget: int = 400,
+    on_probe: Optional[Callable[[int, Case, object], None]] = None,
+    hunt: bool = False,
+) -> CampaignResult:
+    """The one campaign loop behind fuzz, diff, chaos and the mutation
+    hunt: probe each case; shrink a failure through a prefix-replay
+    session (:func:`repro.check.replay.shrink_evaluator`); record it as a
+    :class:`Finding` whose repro renders the exact runner call.
+
+    A faulted case runs its fault-free twin first.  A failing twin is a
+    plain protocol bug, reported unshrunk and without a fault plan.
+    Otherwise what shrinks is the faulted run's fired-fault list, as a
+    scripted plan, once a scripted replay is seen to fail too.
+
+    ``hunt`` is for cases expected to fail: the probe runs inside the
+    replay session, so its checkpoints anchor the shrink, and the loop
+    stops at the first finding.  Fully deterministic: the replay cache
+    never changes a verdict, only wall clock.
+    """
+    from repro.check.replay import PrefixReplayCache, shrink_evaluator
+
+    for index, case in enumerate(cases):
+        # Fault-script candidates all run the full fixed schedule, so an
+        # anchoring re-run pays at any script length and replays the
+        # script whole (truncating it would change its meaning).
+        anchoring = (dict(min_anchor=0, anchor_fraction=1.0)
+                     if case.faulted else {})
+        evaluate = shrink_evaluator(PrefixReplayCache(), case.run,
+                                    **anchoring)
+
+        def fails(candidate: list) -> bool:
+            return bool(candidate) and not evaluate(candidate).ok
+
+        call, twin_failed = case.call, False
+        if case.faulted:
+            case.twin = report = case.run(plan=None)
+            twin_failed = not report.ok
+            if twin_failed:
+                call = {**call, "plan": None}
+        if not twin_failed:
+            report = evaluate(case.schedule) if hunt else case.run()
+        if on_probe is not None:
+            on_probe(index, case, report)
+        if report.ok:
+            continue
+        subject = ([fault.event() for fault in report.fired]
+                   if call.get("plan") is not None else case.schedule)
+        # A faulted failure shrinks only once its scripted replay is seen
+        # to fail too (the probe ran the rate-driven plan).
+        shrinkable = not twin_failed and (not case.faulted or fails(subject))
+        shrunk = subject
+        if shrink and shrinkable:
+            shrunk = shrink_schedule(subject, fails, budget=shrink_budget)
+        final = report if shrunk == subject else evaluate(shrunk)
+        if shrinkable:
+            call = case.at(shrunk)[1]
+        result.findings.append(Finding(
+            case_seed=case.case_seed, family=case.family,
+            schedule=case.schedule, shrunk=shrunk, failure=final.failure,
+            runner=case.runner, call=call, fault_family=case.fault_family,
+            fired=report.fired if case.faulted else []))
+        if hunt:
+            break
+    return result
 
 
 def fuzz_campaign(
@@ -605,68 +911,32 @@ def fuzz_campaign(
     shrink: bool = True,
     shrink_budget: int = 400,
     differential: bool = False,
-    replay: bool = True,
     progress: Optional[Callable[[int, str, ProtocolMode, FuzzReport],
                                 None]] = None,
 ) -> CampaignResult:
-    """Run ``iterations`` random schedules; shrink and render any failure.
+    """Run ``iterations`` random schedules through :func:`run_schedule`;
+    shrink and render any failure (:func:`run_campaign`).
 
     ``differential=True`` adds the atomic-reference-model oracle to every
-    run (including shrink re-executions).  ``replay=False`` disables the
-    prefix-replay cache during shrinking (cold re-execution; the benchmark
-    baseline).  Fully deterministic for a given ``seed`` and parameter
-    set — the replay cache never changes results, only wall clock.
+    run (including shrink re-executions).  Fully deterministic for a given
+    ``seed`` and parameter set.
     """
     modes = modes or list(ProtocolMode)
     families = families or list(FAMILIES)
-    rng = random.Random(seed)
-    result = CampaignResult(iterations=iterations)
-    for index in range(iterations):
-        case_seed = rng.randrange(1 << 32)
-        family = families[index % len(families)]
-        mode = modes[(index // len(families)) % len(modes)]
-        schedule = make_schedule(
-            family, random.Random(case_seed), num_threads=num_threads,
-            num_lines=num_lines, length=length)
-        report = run_schedule(schedule, mode=mode, num_threads=num_threads,
-                              mutation=mutation, differential=differential)
+    config = fuzz_config(num_threads)
+
+    def cases():
+        for index, case_seed, family, schedule in seeded_schedules(
+                seed, iterations, families, num_threads=num_threads,
+                num_lines=num_lines, length=length):
+            mode = modes[(index // len(families)) % len(modes)]
+            yield Case(case_seed, family, schedule, run_schedule, dict(
+                mode=mode, num_threads=num_threads, mutation=mutation,
+                differential=differential), config)
+
+    def on_probe(index: int, case: Case, report: FuzzReport) -> None:
         if progress is not None:
-            progress(index, family, mode, report)
-        if report.ok:
-            continue
-        shrunk = schedule
-        cache = None
-        if shrink:
-            # One prefix-replay cache per shrink session: ddmin candidates
-            # share long per-thread prefixes, so most re-runs resume from a
-            # memoized snapshot instead of cycle zero — and exact repeats
-            # (ddmin's fixed-point pass) return their memoized report.
-            from repro.check.replay import PrefixReplayCache, \
-                shrink_evaluator
+            progress(index, case.family, case.call["mode"], report)
 
-            cache = PrefixReplayCache() if replay else None
-            shrink_config = fuzz_config(num_threads)
-            evaluate = shrink_evaluator(
-                cache,
-                lambda candidate, rc: run_schedule(
-                    candidate, mode=mode, num_threads=num_threads,
-                    config=shrink_config, mutation=mutation,
-                    differential=differential, replay=rc))
-
-            def still_fails(candidate: List[FuzzOp]) -> bool:
-                return not evaluate(candidate).ok
-            shrunk = shrink_schedule(schedule, still_fails,
-                                     budget=shrink_budget)
-            final = evaluate(shrunk)
-        else:
-            final = run_schedule(shrunk, mode=mode, num_threads=num_threads,
-                                 mutation=mutation,
-                                 differential=differential)
-        failure = final.failure or report.failure
-        result.findings.append(FuzzFinding(
-            case_seed=case_seed, family=family, mode=mode,
-            mutation=mutation, failure=failure, schedule=schedule,
-            shrunk=shrunk,
-            repro_source=render_pytest_repro(
-                shrunk, mode, mutation, failure, case_seed=case_seed)))
-    return result
+    return run_campaign(CampaignResult(iterations), cases(), shrink,
+                        shrink_budget, on_probe)

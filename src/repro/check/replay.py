@@ -71,15 +71,6 @@ DEFAULT_MAX_BYTES = 128 * 1024 * 1024
 REF_CHECKPOINT_ITEMS = 8
 
 
-def schedule_memo_key(schedule) -> tuple:
-    """Stable identity of a raw ``FuzzOp`` schedule, for whole-run verdict
-    memoization (the degenerate 100%-prefix hit: an identical candidate
-    needs no re-execution at all — ddmin's greedy fixed-point pass re-tests
-    every drop of the final schedule, so exact repeats are common)."""
-    return tuple((op.tid, op.kind, op.line, op.offset, op.size, op.value)
-                 for op in schedule)
-
-
 def item_key(op, expected, label) -> tuple:
     """Stable identity of one translated schedule item (see module doc)."""
     modify = op.modify
@@ -181,7 +172,7 @@ class PrefixReplayCache:
         self._contexts: Dict[tuple, List[_Checkpoint]] = {}
         self._bytes = 0
         self._clock = 0
-        # Whole-run verdict memo (see :func:`schedule_memo_key`) and the
+        # Whole-run verdict memo (see :func:`shrink_evaluator`) and the
         # per-config context-key memo.  Both hold small objects (reports,
         # JSON strings), so neither counts against the byte budget.
         self._memo: Dict[tuple, object] = {}
@@ -338,7 +329,7 @@ class PrefixReplayCache:
         from repro.check.fuzz import schedule_to_ops
         from repro.check.refmodel import AtomicMachine, RefResult
 
-        key = schedule_memo_key(schedule)
+        key = tuple(schedule)
         context = ("ref", num_threads, self.config_key(config))
         bucket = self._refs.setdefault(context, [])
         best: Optional[_RefCheckpoint] = None
@@ -430,7 +421,7 @@ ANCHOR_FRACTION = 0.55
 
 
 def shrink_evaluator(cache: Optional[PrefixReplayCache], run,
-                     key_of=schedule_memo_key,
+                     key_of=tuple,
                      min_anchor: int = MIN_ANCHOR_ITEMS,
                      anchor_fraction: float = ANCHOR_FRACTION):
     """The evaluation wrapper every shrink session uses.

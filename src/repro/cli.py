@@ -520,6 +520,24 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _report_findings(verb: str, result, args) -> int:
+    """Print a failed campaign's findings and write their pytest repros to
+    ``--out`` (or stdout); returns the exit code."""
+    print(f"{verb}: {len(result.findings)} failing case(s) out of "
+          f"{result.iterations} (seed {args.seed})")
+    for finding in result.findings:
+        print(f"\n{finding.describe()}")
+    repros = "\n\n".join(f.repro_source for f in result.findings)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(repros + "\n")
+        print(f"\npytest repro(s) written to {args.out}")
+    else:
+        print("\n# --- minimal pytest repro(s) ---\n")
+        print(repros)
+    return 1
+
+
 def _cmd_fuzz(args) -> int:
     modes = (list(ProtocolMode) if args.protocol == "all"
              else [ProtocolMode(args.protocol)])
@@ -554,25 +572,7 @@ def _cmd_fuzz(args) -> int:
         print(f"fuzz: {result.iterations} schedule(s), no failures"
               f"{oracle} (seed {args.seed})")
         return 0
-    print(f"fuzz: {len(result.findings)} failing schedule(s) out of "
-          f"{result.iterations} (seed {args.seed})")
-    sources = []
-    for f in result.findings:
-        print(f"\ncase seed {f.case_seed}: {f.mode.value}/{f.family}"
-              + (f" +{f.mutation}" if f.mutation else ""))
-        print(f"  {f.failure.describe()}")
-        print(f"  schedule: {len(f.schedule)} op(s), "
-              f"shrunk to {len(f.shrunk)}")
-        sources.append(f.repro_source)
-    repros = "\n\n".join(sources)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(repros + "\n")
-        print(f"\npytest repro(s) written to {args.out}")
-    else:
-        print("\n# --- minimal pytest repro(s) ---\n")
-        print(repros)
-    return 1
+    return _report_findings("fuzz", result, args)
 
 
 def _cmd_chaos(args) -> int:
@@ -631,29 +631,7 @@ def _cmd_chaos(args) -> int:
                   f"degradation: {', '.join(missing)}", file=sys.stderr)
             return 1
         return 0
-    print(f"chaos: {len(result.findings)} failing case(s) out of "
-          f"{result.iterations} (seed {args.seed})")
-    sources = []
-    for f in result.findings:
-        print(f"\ncase seed {f.case_seed}: {f.mode.value}/"
-              f"{f.fault_family} on a {f.schedule_family} schedule")
-        print(f"  {f.failure.describe()}")
-        if f.plan is None:
-            print("  fault-free twin failed: plain protocol bug "
-                  "(see fuzz repro)")
-        else:
-            print(f"  {len(f.fired)} fault(s) fired, script shrunk to "
-                  f"{len(f.shrunk_events)} event(s)")
-        sources.append(f.repro_source)
-    repros = "\n\n".join(sources)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(repros + "\n")
-        print(f"\npytest repro(s) written to {args.out}")
-    else:
-        print("\n# --- minimal pytest repro(s) ---\n")
-        print(repros)
-    return 1
+    return _report_findings("chaos", result, args)
 
 
 def _cmd_diff(args) -> int:
@@ -716,25 +694,7 @@ def _cmd_diff(args) -> int:
               f"{len(modes)} mode(s), {result.blocks_compared} block "
               f"comparison(s), no divergence (seed {args.seed})")
     else:
-        exit_code = 1
-        print(f"diff: {len(result.findings)} diverging schedule(s) out of "
-              f"{result.iterations} (seed {args.seed})")
-        sources = []
-        for f in result.findings:
-            print(f"\ncase seed {f.case_seed}: {f.family}"
-                  + (f" +{f.mutation}" if f.mutation else ""))
-            print(f"  {f.detail.splitlines()[0]}")
-            print(f"  schedule: {len(f.schedule)} op(s), "
-                  f"shrunk to {len(f.shrunk)}")
-            sources.append(f.repro_source)
-        repros = "\n\n".join(sources)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(repros + "\n")
-            print(f"\npytest repro(s) written to {args.out}")
-        else:
-            print("\n# --- minimal pytest repro(s) ---\n")
-            print(repros)
+        exit_code = _report_findings("diff", result, args)
     if args.smoke:
         # Second half of the gate: the oracle must have teeth.  Every
         # seeded mutation caught by the differential comparison alone,

@@ -67,7 +67,7 @@ class FaultEvent:
             raise ConfigError("fault opportunity must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FaultPlan:
     """Frozen description of one deterministic fault injection.
 
@@ -123,6 +123,24 @@ class FaultPlan:
             present = {e.kind for e in self.script}
             return tuple(k for k in ALL_KINDS if k in present)
         return tuple(k for k in ALL_KINDS if getattr(self, k) > 0.0)
+
+    def __repr__(self) -> str:
+        """Constructor source, as pytest repros embed it: a script renders
+        as its events, a rate plan as its nonzero rates; other fields only
+        when not default."""
+        args = [f"seed={self.seed}"]
+        defaults = {f.name: f.default for f in fields(self)}
+        for name in ("delay_cycles", "state_period"):
+            if getattr(self, name) != defaults[name]:
+                args.append(f"{name}={getattr(self, name)}")
+        if self.script is not None:
+            events = ", ".join(f"FaultEvent({e.kind!r}, {e.opportunity})"
+                               for e in self.script)
+            args.append(f"script=({events}{',' if self.script else ''})")
+        else:
+            for kind in self.active_kinds():
+                args.append(f"{kind}={getattr(self, kind)}")
+        return f"FaultPlan({', '.join(args)})"
 
     # -- serialization (RunSpec pattern: digest-stable plain dicts) ------
 

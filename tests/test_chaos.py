@@ -11,16 +11,16 @@ import random
 
 import pytest
 
-from repro.check.fuzz import shrink_schedule
+from repro.check.fuzz import (
+    CampaignResult,
+    FuzzFailure,
+    make_schedule,
+    render_pytest_repro,
+    shrink_schedule,
+)
 from repro.coherence.states import ProtocolMode
 from repro.faults import CHAOS_FAMILIES, FaultEvent, FaultPlan, family_plan
-from repro.faults.chaos import (
-    ChaosCampaignResult,
-    chaos_campaign,
-    chaos_config,
-    render_chaos_repro,
-    render_plan,
-)
+from repro.faults.chaos import chaos_campaign, chaos_config, run_chaos_case
 
 
 class TestCampaign:
@@ -91,28 +91,27 @@ class TestShrinking:
         plan = FaultPlan(seed=5, state_period=24,
                          script=(FaultEvent("sam_invalidate", 1),
                                  FaultEvent("llc_evict", 0)))
-        source = render_plan(plan)
+        source = repr(plan)
         namespace = {"FaultPlan": FaultPlan, "FaultEvent": FaultEvent}
         rebuilt = eval(source, namespace)  # noqa: S307 — our own rendering
         assert rebuilt == plan
 
     def test_render_plan_rate_mode(self):
         plan = family_plan("pressure", seed=2)
-        source = render_plan(plan)
+        source = repr(plan)
         namespace = {"FaultPlan": FaultPlan, "FaultEvent": FaultEvent}
         rebuilt = eval(source, namespace)  # noqa: S307
         assert rebuilt.l1_evict == plan.l1_evict
         assert rebuilt.state_period == plan.state_period
 
     def test_rendered_repro_is_valid_python(self):
-        from repro.check.fuzz import FuzzOp, make_schedule
         schedule = make_schedule("disjoint", random.Random(3), length=10)
         plan = FaultPlan(script=(FaultEvent("dup_md", 0),))
-        from repro.check.fuzz import FuzzFailure
-        source = render_chaos_repro(
-            schedule, ProtocolMode.FSLITE, plan,
+        source = render_pytest_repro(
+            schedule, run_chaos_case,
+            dict(mode=ProtocolMode.FSLITE, plan=plan, shrunken_sam=True),
             FuzzFailure("invariant", "InvariantViolation", "synthetic"),
-            case_seed=1, shrunken_sam=True)
+            case_seed=1)
         assert "def test_chaos_repro_fslite_seed1" in source
         assert "shrunken_sam=True" in source
         compile(source, "<chaos-repro>", "exec")
@@ -128,7 +127,7 @@ class TestConfig:
         assert tiny.l1 == base.l1  # only the SAM shrinks
 
     def test_result_family_maps_cover_all_families(self):
-        result = ChaosCampaignResult(iterations=0)
+        result = CampaignResult(iterations=0)
         assert set(result.family_fired()) == set(CHAOS_FAMILIES)
         assert set(result.family_degraded()) == set(CHAOS_FAMILIES)
 

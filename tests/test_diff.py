@@ -19,10 +19,17 @@ from repro.check.diff import (
     diff_workload,
     differential_check,
     hunt_mutation_escape,
-    render_diff_repro,
     run_differential,
 )
-from repro.check.fuzz import FAMILIES, FuzzOp, fuzz_config, make_schedule
+from repro.check.fuzz import (
+    FAMILIES,
+    FuzzFailure,
+    FuzzOp,
+    execute_schedule,
+    fuzz_config,
+    make_schedule,
+    render_pytest_repro,
+)
 from repro.check.mutations import MUTATIONS
 from repro.check.refmodel import run_reference
 from repro.coherence.states import ProtocolMode
@@ -43,33 +50,27 @@ def test_clean_schedules_have_no_divergence(family):
 
 def test_differential_check_post_run():
     """differential_check layers onto an existing detailed run."""
-    from repro.check.diff import _run_detailed
-
     schedule = make_schedule("mixed", random.Random(3), length=40)
     config = fuzz_config(4)
-    machine, failure = _run_detailed(
-        schedule, ProtocolMode.FSLITE, 4, config, mutation=None,
-        sanitize=True, max_events=5_000_000)
-    assert failure is None
+    run = execute_schedule(schedule, ProtocolMode.FSLITE, 4, config,
+                           check_loads=False)
+    assert run.report.ok, run.report.failure.describe()
     ref = run_reference(schedule, 4, config)
-    report = differential_check(machine, ref)
+    report = differential_check(run.machine, ref)
     assert report.ok, report.describe()
 
 
 def test_memory_divergence_is_reported():
     """Corrupting one byte of the detailed machine's result must produce a
     memory divergence (the comparison is not vacuous)."""
-    from repro.check.diff import _run_detailed
-    from repro.system.simulator import flush_machine_memory
-
     schedule = [FuzzOp(0, "store", line=0, offset=0, size=8, value=0x42)]
     config = fuzz_config(4)
-    machine, failure = _run_detailed(
-        schedule, ProtocolMode.MESI, 4, config, mutation=None,
-        sanitize=False, max_events=5_000_000)
-    assert failure is None
+    run = execute_schedule(schedule, ProtocolMode.MESI, 4, config,
+                           sanitize=False, check_loads=False)
+    assert run.report.ok
+    machine = run.machine
     ref = run_reference(schedule, 4, config)
-    image = dict(flush_machine_memory(machine))
+    image = dict(run.image)
     base = 0x40000
     data = bytearray(image[base])
     data[0] ^= 0xFF
@@ -149,8 +150,10 @@ def test_diff_campaign_finds_and_shrinks_mutation():
 
 def test_render_diff_repro_is_valid_python():
     schedule = [FuzzOp(0, "store", line=0, offset=0, size=8, value=1)]
-    source = render_diff_repro(schedule, [ProtocolMode.MESI], None,
-                               "memory: test", case_seed=1)
+    source = render_pytest_repro(
+        schedule, run_differential,
+        dict(modes=[ProtocolMode.MESI], num_threads=4, mutation=None),
+        FuzzFailure("differential", "memory", "memory: test"), case_seed=1)
     compile(source, "<repro>", "exec")
 
 

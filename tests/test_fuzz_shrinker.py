@@ -125,7 +125,8 @@ def test_render_pytest_repro_roundtrip():
     report = run_schedule(schedule)
     assert report.ok
     failure = FuzzFailure("final-image", "mismatch", "demo failure")
-    source = render_pytest_repro(schedule, ProtocolMode.FSLITE, None,
+    source = render_pytest_repro(schedule, run_schedule,
+                                 {"mode": ProtocolMode.FSLITE},
                                  failure=failure, case_seed=123)
     namespace = {}
     exec(compile(source, "<repro>", "exec"), namespace)
