@@ -210,8 +210,7 @@ def differential_check(
             for block in detector.sam.resident_blocks():
                 entry = detector.sam.peek(block)
                 truth = ref.truth.get(block)
-                for granule in range(entry.num_granules):
-                    writer = entry.last_writer[granule]
+                for granule, writer in enumerate(entry.last_writer_map()):
                     if writer is None:
                         pass
                     elif truth is None or writer not in truth.writers[granule]:

@@ -72,18 +72,27 @@ def pam_reads_count_as_writes() -> Iterator[None]:
     so a later covered "write hit" would bypass the GetXCHK conflict check.
     Detected by the sanitizer's ``prv-pam`` invariant.
     """
-    from repro.core.pam import PamTable
+    from repro.coherence.l1_controller import L1Controller
+    from repro.cpu.ops import OpKind
 
-    original = PamTable.record_access
+    original = L1Controller._perform
 
-    def mutated(self, block_addr, byte_mask, is_write):
-        original(self, block_addr, byte_mask, True)
+    def mutated(self, block, line, op):
+        pentry = self.pam.get(block) if self._detects else None
+        if pentry is None or op.kind is OpKind.STORE:
+            return original(self, block, line, op)
+        read_bits = pentry.read_bits
+        result = original(self, block, line, op)
+        pentry.read_bits = read_bits
+        pentry.write_bits |= self.pam.to_granule_mask(
+            ((1 << op.size) - 1) << (op.addr & self._offset_mask))
+        return result
 
-    PamTable.record_access = mutated
+    L1Controller._perform = mutated
     try:
         yield
     finally:
-        PamTable.record_access = original
+        L1Controller._perform = original
 
 
 @contextmanager

@@ -285,7 +285,7 @@ class Sanitizer(Observer):
         if sam_entry is None:
             self._fail("prv-sam", block, line, copies,
                        "privatized block has no SAM entry")
-        lw = sam_entry.last_writer
+        lw = sam_entry.last_writer_map()
         departed = self._prv_departed.get(block, set())
         for granule, writer in enumerate(lw):
             if (writer is not None and writer not in line.prv_sharers

@@ -523,13 +523,7 @@ class DirectorySlice:
             return
         # Privatize: fresh SAM state seeded with the trigger's bytes.
         sam_entry.clear()
-        gmask = self._gmask(msg.payload.get("touched_mask", 0))
-        if msg.mtype in (MessageType.GETX, MessageType.UPGRADE):
-            sam_entry.record_write(msg.src, gmask)
-            if msg.payload.get("is_rmw"):
-                sam_entry.record_read(msg.src, gmask)
-        else:
-            sam_entry.record_read(msg.src, gmask)
+        self._record_access(sam_entry, msg, msg.src, gmask, is_write)
         line.state = DirState.PRV
         line.owner = None
         line.sharers.clear()
@@ -544,6 +538,16 @@ class DirectorySlice:
                        self._data_payload(line),
                        delay=self.config.llc.data_latency)
         self._release_busy(block)
+
+    @staticmethod
+    def _record_access(sam_entry, msg: Message, core: int, gmask: int,
+                       is_write: bool) -> None:
+        """Record a passed conflict check in the SAM: writes set the last
+        writer, reads join the reader set, and an RMW does both."""
+        if is_write:
+            sam_entry.record_write(core, gmask)
+        if not is_write or msg.payload.get("is_rmw"):
+            sam_entry.record_read(core, gmask)
 
     def _prv_join(self, msg: Message, line: LlcLine, is_write: bool) -> None:
         """Serve a Get/GetX for a privatized block (Section V-A, Fig. 8)."""
@@ -560,12 +564,7 @@ class DirectorySlice:
             self._start_termination(block, TerminationCause.CONFLICT,
                                     rerun=msg)
             return
-        if is_write:
-            sam_entry.record_write(core, gmask)
-            if msg.payload.get("is_rmw"):
-                sam_entry.record_read(core, gmask)
-        else:
-            sam_entry.record_read(core, gmask)
+        self._record_access(sam_entry, msg, core, gmask, is_write)
         line.prv_sharers.add(core)
         self.stats[SLICE_PRV_JOINS] += 1
         if self.obs is not None:
@@ -590,12 +589,7 @@ class DirectorySlice:
               else sam_entry.check_read(core, gmask))
         if ok:
             self.stats[SLICE_CHK_PASS] += 1
-            if is_write:
-                sam_entry.record_write(core, gmask)
-                if msg.payload.get("is_rmw"):
-                    sam_entry.record_read(core, gmask)
-            else:
-                sam_entry.record_read(core, gmask)
+            self._record_access(sam_entry, msg, core, gmask, is_write)
             if msg.mtype == MessageType.UPGRADE:
                 self._send(MessageType.UPG_ACK_PRV, core, block, {},
                            delay=self.config.protocol.conflict_check_latency)

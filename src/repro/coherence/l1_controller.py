@@ -49,12 +49,6 @@ from repro.common.statkeys import (
 from repro.common.events import EventQueue
 from repro.coherence.states import L1State, ProtocolMode
 from repro.core.pam import PamTable
-
-#: Pristine PAM-update seam. ``_perform`` inlines the bit-OR update only
-#: while ``PamTable.record_access`` is unpatched; mutation injection
-#: (:mod:`repro.check.mutations`) replaces the class attribute and the hot
-#: path falls back to calling it, so injected PAM bugs stay observable.
-_PAM_RECORD_PRISTINE = PamTable.record_access
 from repro.cpu.ops import Op, OpKind
 from repro.interconnect.message import Message, MessageType
 from repro.interconnect.network import Network
@@ -271,14 +265,6 @@ class L1Controller:
         if self._detects:
             byte_mask = ((1 << size) - 1) << offset
             stats[CORE_PAM_ACCESSES] += 1
-            if PamTable.record_access is not _PAM_RECORD_PRISTINE:
-                # The seam is patched (mutation injection): honour it.
-                if kind is _RMW:
-                    self.pam.record_access(block, byte_mask, is_write=True)
-                    self.pam.record_access(block, byte_mask, is_write=False)
-                else:
-                    self.pam.record_access(block, byte_mask, op.is_write)
-                return result
             pentry = self._pam_entries.get(block)
             if pentry is None:
                 raise ProtocolError(

@@ -211,13 +211,7 @@ class FalseSharingDetector:
 
     def _record_contended(self, block_addr: int, meta: DirEntryMeta,
                           sam_entry: Optional[SamEntry]) -> None:
-        cores: set = set()
-        if sam_entry is not None:
-            for granule in range(sam_entry.num_granules):
-                writer = sam_entry.last_writer[granule]
-                if writer is not None:
-                    cores.add(writer)
-                cores |= sam_entry.reader_cores(granule)
+        cores = sam_entry.cores() if sam_entry is not None else set()
         self.contended_lines.append(ContendedLineReport(
             block_addr=block_addr, cycle=self.now(), fc=meta.fc,
             ic=meta.ic, cores=frozenset(cores)))
@@ -239,13 +233,7 @@ class FalseSharingDetector:
         """Record a detected false-sharing instance."""
         meta = self.meta_for(block_addr)
         sam_entry = self.sam.peek(block_addr)
-        cores: set = set()
-        if sam_entry is not None:
-            for granule in range(sam_entry.num_granules):
-                writer = sam_entry.last_writer[granule]
-                if writer is not None:
-                    cores.add(writer)
-                cores |= sam_entry.reader_cores(granule)
+        cores = sam_entry.cores() if sam_entry is not None else set()
         rep = FalseSharingReport(
             block_addr=block_addr,
             cycle=cycle,

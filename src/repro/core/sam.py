@@ -2,13 +2,21 @@
 
 One SAM table per LLC/directory slice, organised as a small set-associative
 cache (8 sets x 16 ways by default) with LRU replacement. An entry tracks,
-per granule of the block:
+per granule of the block, the valid *last writer* core and the reader set,
+plus a block-level TS (true-sharing) bit. Both are stored as per-core
+granule masks:
 
-* the valid *last writer* core id, and
-* the reader set — either a full per-core bit-vector (basic design) or the
-  *last reader + overflow bit* encoding of the Section VI optimization,
+* ``writes[c]`` holds the granules whose last writer is core ``c`` (the
+  masks are pairwise disjoint);
+* ``reads[c]`` holds the granules core ``c`` read — the full reader
+  bit-vector of the basic design. Under the *last reader + overflow*
+  encoding of the Section VI optimization it holds the granules whose last
+  reader is ``c`` (again disjoint), and one ``overflow`` mask marks the
+  granules read by more than one core.
 
-plus a block-level TS (true-sharing) bit.
+The two encodings differ only in how reads are recorded. The per-granule
+last-writer map the termination merge needs is derived on demand
+(:meth:`SamEntry.last_writer_map`).
 
 The entry exposes the paper's three conflict predicates:
 
@@ -21,15 +29,24 @@ The entry exposes the paper's three conflict predicates:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.common.bitvec import iter_set_bits
-from repro.memsys.cache_array import CacheArray, CacheEntry
+from repro.memsys.cache_array import CacheArray
+
+
+def _union_except(masks: List[int], core: int) -> int:
+    """OR of every core's mask but ``core``'s."""
+    out = 0
+    for other, mask in enumerate(masks):
+        if other != core:
+            out |= mask
+    return out
 
 
 @dataclass
 class SamEntry:
-    """Per-block shared access metadata."""
+    """Per-block shared access metadata as per-core granule masks."""
 
     num_granules: int
     num_cores: int
@@ -39,49 +56,39 @@ class SamEntry:
     #: Granules involved in the most recent update_from_md conflict.
     last_conflict_mask: int = 0
     last_conflict_write: bool = False
-    last_writer: List[Optional[int]] = field(default_factory=list)
-    # Full-reader-vector mode: per-granule bit-vector of reader cores.
-    readers: List[int] = field(default_factory=list)
-    # Reader-opt mode: per-granule last reader and overflow flag.
-    last_reader: List[Optional[int]] = field(default_factory=list)
-    overflow: List[bool] = field(default_factory=list)
+    #: Per-core granule masks and the reader-opt overflow mask (see the
+    #: module docstring).
+    writes: List[int] = field(default_factory=list)
+    reads: List[int] = field(default_factory=list)
+    overflow: int = 0
 
     def __post_init__(self) -> None:
-        self.last_writer = [None] * self.num_granules
-        if self.reader_opt:
-            self.last_reader = [None] * self.num_granules
-            self.overflow = [False] * self.num_granules
-        else:
-            self.readers = [0] * self.num_granules
+        self.writes = [0] * self.num_cores
+        self.reads = [0] * self.num_cores
 
-    # -- reader-set primitives (encode-agnostic) -----------------------------
+    # -- mask primitives ------------------------------------------------------
 
-    def _add_reader(self, granule: int, core: int) -> None:
-        if self.reader_opt:
-            last = self.last_reader[granule]
-            if last is not None and last != core:
-                self.overflow[granule] = True
-            self.last_reader[granule] = core
-        else:
-            self.readers[granule] |= 1 << core
+    def _add_writes(self, core: int, gmask: int) -> None:
+        """Make ``core`` the last writer of ``gmask``'s granules."""
+        if gmask:
+            keep = ~gmask
+            self.writes = [mask & keep for mask in self.writes]
+            self.writes[core] |= gmask
 
-    def _has_foreign_reader(self, granule: int, core: int) -> bool:
-        """True if some core other than ``core`` is recorded as a reader."""
-        if self.reader_opt:
-            last = self.last_reader[granule]
-            return self.overflow[granule] or (last is not None and last != core)
-        return bool(self.readers[granule] & ~(1 << core))
+    def _add_reads(self, core: int, gmask: int) -> None:
+        """Add ``core`` to the reader set of ``gmask``'s granules. Under
+        reader_opt it becomes their last reader, and a granule whose last
+        reader was another core overflows."""
+        if self.reader_opt and gmask:
+            self.overflow |= gmask & _union_except(self.reads, core)
+            keep = ~gmask
+            self.reads = [mask & keep for mask in self.reads]
+        self.reads[core] |= gmask
 
-    def _readers_subset_of(self, granule: int, core: int) -> bool:
-        """True if the reader set is empty or exactly {core}."""
-        return not self._has_foreign_reader(granule, core)
-
-    def reader_cores(self, granule: int) -> Set[int]:
-        """Precise reader set (full mode); best effort under reader_opt."""
-        if self.reader_opt:
-            last = self.last_reader[granule]
-            return set() if last is None else {last}
-        return set(iter_set_bits(self.readers[granule]))
+    def _foreign_reads(self, core: int) -> int:
+        """Granules some core other than ``core`` may have read (every
+        overflowed granule, under reader_opt)."""
+        return _union_except(self.reads, core) | self.overflow
 
     # -- REP_MD ingestion (FSDetect true-sharing conditions, Section IV) ----
 
@@ -99,71 +106,62 @@ class SamEntry:
         conflicting granules afterwards (for the Section VII region-conflict
         reporting extension).
         """
-        conflict = False
-        self.last_conflict_mask = 0
-        self.last_conflict_write = False
-        for granule in range(self.num_granules):
-            bit = 1 << granule
-            was_read = bool(read_bits & bit)
-            was_written = bool(write_bits & bit)
-            if not (was_read or was_written):
-                continue
-            writer = self.last_writer[granule]
-            if was_written:
-                if writer is not None and writer != core:
-                    conflict = True
-                    self.last_conflict_mask |= bit
-                    self.last_conflict_write = True
-                if self._has_foreign_reader(granule, core):
-                    conflict = True
-                    self.last_conflict_mask |= bit
-                    self.last_conflict_write = True
-            elif was_read:
-                if writer is not None and writer != core:
-                    conflict = True
-                    self.last_conflict_mask |= bit
+        valid = (1 << self.num_granules) - 1
+        read_bits &= valid
+        write_bits &= valid
+        foreign_writes = _union_except(self.writes, core)
+        write_conflict = write_bits & (foreign_writes
+                                       | self._foreign_reads(core))
+        self.last_conflict_mask = (write_conflict
+                                   | read_bits & ~write_bits & foreign_writes)
+        self.last_conflict_write = bool(write_conflict)
         # Merge after checking so a core's own prior accesses never conflict
         # with its fresh metadata.
-        for granule in range(self.num_granules):
-            bit = 1 << granule
-            if write_bits & bit:
-                self.last_writer[granule] = core
-            if read_bits & bit:
-                self._add_reader(granule, core)
-        if conflict:
+        self._add_writes(core, write_bits)
+        self._add_reads(core, read_bits)
+        if self.last_conflict_mask:
             self.ts = True
-        return conflict
+        return bool(self.last_conflict_mask)
 
     # -- PRV-state conflict checks (Section V-B) -----------------------------
 
     def check_write(self, core: int, gmask: int) -> bool:
         """GetXCHK predicate: every granule in ``gmask`` must have either no
         valid last writer and readers within {core}, or last writer == core."""
-        for granule in iter_set_bits(gmask):
-            writer = self.last_writer[granule]
-            if writer is None:
-                if not self._readers_subset_of(granule, core):
-                    return False
-            elif writer != core:
-                return False
-        return True
+        blocked = (_union_except(self.writes, core)
+                   | self._foreign_reads(core) & ~self.writes[core])
+        return not gmask & blocked
 
     def check_read(self, core: int, gmask: int) -> bool:
         """GetCHK predicate: every granule must have no valid last writer or
         last writer == core."""
-        for granule in iter_set_bits(gmask):
-            writer = self.last_writer[granule]
-            if writer is not None and writer != core:
-                return False
-        return True
+        return not gmask & _union_except(self.writes, core)
 
-    def record_write(self, core: int, gmask: int) -> None:
-        for granule in iter_set_bits(gmask):
-            self.last_writer[granule] = core
+    # The directory's PRV bookkeeping. update_from_md calls the primitives
+    # directly, so a patched record_* (mutation testing) leaves REP_MD
+    # ingestion intact.
+    record_write = _add_writes
+    record_read = _add_reads
 
-    def record_read(self, core: int, gmask: int) -> None:
-        for granule in iter_set_bits(gmask):
-            self._add_reader(granule, core)
+    # -- derived views ------------------------------------------------------
+
+    def reader_cores(self, granule: int) -> Set[int]:
+        """Precise reader set (full mode); the last reader under reader_opt."""
+        return {core for core, mask in enumerate(self.reads)
+                if mask >> granule & 1}
+
+    def cores(self) -> Set[int]:
+        """Every core recorded as a last writer or reader of any granule."""
+        return {core for core in range(self.num_cores)
+                if self.writes[core] | self.reads[core]}
+
+    def last_writer_map(self) -> List[Optional[int]]:
+        """Per-granule last writer (None: no valid writer), for merges."""
+        lw: List[Optional[int]] = [None] * self.num_granules
+        for core, mask in enumerate(self.writes):
+            for granule in iter_set_bits(mask):
+                lw[granule] = core
+        return lw
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -171,36 +169,9 @@ class SamEntry:
         """Reset all byte metadata and the TS bit (Section VI resets, and the
         beginning/end of a privatized episode)."""
         self.ts = False
-        self.last_writer = [None] * self.num_granules
-        if self.reader_opt:
-            self.last_reader = [None] * self.num_granules
-            self.overflow = [False] * self.num_granules
-        else:
-            self.readers = [0] * self.num_granules
-
-    def remove_core(self, core: int) -> None:
-        """Forget a core's contributions.
-
-        Last-writer slots naming the core are invalidated. Reader bits are
-        removed precisely in full-vector mode; the last-reader+overflow
-        encoding cannot remove readers.
-
-        NOTE: the directory deliberately does *not* call this when a sharer
-        departs a live PRV episode (eviction writeback): other sharers may
-        still hold pre-merge copies, and erasing the departed writer's
-        claims would let their next conflict check pass against stale data.
-        The claims are kept so conflicting accesses terminate the episode;
-        the whole entry is cleared at episode end.
-        """
-        for granule in range(self.num_granules):
-            if self.last_writer[granule] == core:
-                self.last_writer[granule] = None
-            if not self.reader_opt:
-                self.readers[granule] &= ~(1 << core)
-
-    def last_writer_map(self) -> List[Optional[int]]:
-        """Snapshot of the per-granule last-writer map (for merges)."""
-        return list(self.last_writer)
+        self.writes = [0] * self.num_cores
+        self.reads = [0] * self.num_cores
+        self.overflow = 0
 
     def entry_bits(self) -> int:
         """Storage cost in bits, matching the paper's accounting.

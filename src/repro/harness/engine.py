@@ -53,7 +53,9 @@ from repro.harness.runner import (RunRecord, RunSpec, build_warm_snapshot,
 #: ``obs`` field and records may carry an ``extra["obs"]`` payload.
 #: "4": event-heap entries became ``(time, seq, fn, arg)``; warm-start
 #: snapshots pickle the heap, so older ones are rebuilt, not restored.
-CODE_VERSION = "4"
+#: "5": SAM entries hold per-core granule masks instead of per-granule
+#: lists; warm-start snapshots pickle them, so older ones are rebuilt.
+CODE_VERSION = "5"
 
 _log = logging.getLogger(__name__)
 

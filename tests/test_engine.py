@@ -434,11 +434,13 @@ class TestCacheCompatibility:
                                "engine_cache")
     FIXTURE_SPEC = RunSpec(tag="ww", mode=ProtocolMode.FSLITE, scale=0.5)
 
-    def test_code_version_bumped_for_event_heap(self):
-        # "3" marked the observability cache format; "4" marks the event
-        # heap's (time, seq, fn, arg) entries, which warm-start snapshots
-        # pickle, so a snapshot cached by older code is rebuilt.
-        assert CODE_VERSION == "4"
+    def test_code_version_bumped_for_pickled_sam_masks(self):
+        # "3" marked the observability cache format, "4" the event heap's
+        # (time, seq, fn, arg) entries. "5" marks SAM entries stored as
+        # per-core granule masks: warm-start snapshots pickle both, so a
+        # snapshot cached by older code is rebuilt, never restored into
+        # the new classes.
+        assert CODE_VERSION == "5"
 
     def test_spec_digest_unchanged_without_obs(self):
         # The obs field is only serialized when set, so every pre-existing

@@ -1,7 +1,7 @@
 """Unit and property tests for the SAM table (Section IV/VI, Fig. 5b)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.sam import SamEntry, SamTable
 
@@ -163,32 +163,131 @@ class TestLifecycle:
         assert not e.ts
         assert e.check_write(3, 0xFF)
 
-    def test_remove_core_clears_writer(self):
-        e = entry()
-        e.record_write(1, 0b0001)
-        e.remove_core(1)
-        assert e.check_write(0, 0b0001)
-
-    def test_remove_core_clears_reader_full_mode(self):
-        e = entry()
-        e.record_read(1, 0b0001)
-        e.remove_core(1)
-        assert e.check_write(0, 0b0001)
-
-    def test_remove_core_conservative_in_opt_mode(self):
-        e = entry(reader_opt=True)
-        e.record_read(1, 0b0001)
-        e.remove_core(1)
-        # The encoding cannot remove readers; the spurious block is allowed.
-        assert not e.check_write(0, 0b0001)
-
     def test_last_writer_map_snapshot(self):
         e = entry()
         e.record_write(2, 0b0101)
         snap = e.last_writer_map()
         e.record_write(3, 0b0101)
         assert snap[0] == 2 and snap[2] == 2
-        assert e.last_writer[0] == 3
+        assert e.last_writer_map()[0] == 3
+
+
+class _GranuleModel:
+    """Per-granule SAM semantics, written directly from the paper's text:
+    Section IV (REP_MD true-sharing conditions), Section V-B (GetCHK /
+    GetXCHK) and Section VI (last reader + overflow)."""
+
+    def __init__(self, granules, reader_opt):
+        self.n, self.opt = granules, reader_opt
+        self.conflict_mask, self.conflict_write = 0, False
+        self.clear()
+
+    def clear(self):
+        self.ts = False
+        self.writer = [None] * self.n
+        self.readers = [set() for _ in range(self.n)]  # {last} under opt
+        self.overflow = [False] * self.n
+
+    def bits(self, mask):
+        return [g for g in range(self.n) if mask >> g & 1]
+
+    def foreign_writer(self, g, core):
+        return self.writer[g] not in (None, core)
+
+    def foreign_reader(self, g, core):
+        return self.overflow[g] or bool(self.readers[g] - {core})
+
+    def update_from_md(self, core, read_bits, write_bits):
+        self.conflict_mask, self.conflict_write = 0, False
+        for g in range(self.n):
+            if write_bits >> g & 1:
+                hit = (self.foreign_writer(g, core)
+                       or self.foreign_reader(g, core))
+                self.conflict_write |= hit
+            else:
+                hit = bool(read_bits >> g & 1) and self.foreign_writer(g, core)
+            self.conflict_mask |= hit << g
+        self.record_write(core, write_bits)
+        self.record_read(core, read_bits)
+        self.ts |= bool(self.conflict_mask)
+        return bool(self.conflict_mask)
+
+    def check_write(self, core, mask):
+        return not any(self.foreign_writer(g, core)
+                       or (self.writer[g] is None
+                           and self.foreign_reader(g, core))
+                       for g in self.bits(mask))
+
+    def check_read(self, core, mask):
+        return not any(self.foreign_writer(g, core) for g in self.bits(mask))
+
+    def record_write(self, core, mask):
+        for g in self.bits(mask):
+            self.writer[g] = core
+
+    def record_read(self, core, mask):
+        for g in self.bits(mask):
+            if self.opt:
+                self.overflow[g] |= bool(self.readers[g] - {core})
+                self.readers[g] = {core}
+            else:
+                self.readers[g].add(core)
+
+    def cores(self):
+        return ({w for w in self.writer if w is not None}
+                | set().union(*self.readers))
+
+
+_SAM_OPS = ("update_from_md", "record_write", "record_read", "check_write",
+            "check_read", "clear")
+
+
+@st.composite
+def _sam_histories(draw):
+    granules = draw(st.sampled_from([16, 32, 64]))
+    cores = draw(st.sampled_from([2, 3, 4, 8]))
+    # Masks over a few hot granules make repeated touches of one granule
+    # by several cores likely; bits at or above num_granules exercise
+    # update_from_md's masking.
+    hot = st.sets(st.sampled_from([0, 1, granules - 1, granules]),
+                  max_size=3).map(lambda gs: sum(1 << g for g in gs))
+    masks = hot | st.integers(0, (1 << (granules + 4)) - 1)
+    ops = draw(st.lists(st.tuples(st.sampled_from(_SAM_OPS),
+                                  st.integers(0, cores - 1), masks, masks),
+                        min_size=10, max_size=40))
+    return granules, cores, draw(st.booleans()), ops
+
+
+class TestExactEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(_sam_histories())
+    @example((8, 4, True, [("record_read", 1, 1, 0),
+                           ("record_read", 2, 1, 0),
+                           ("check_write", 2, 1, 0)]))
+    def test_matches_per_granule_model(self, history):
+        """Every return value and every observable field equals the
+        per-granule model, in both reader encodings."""
+        granules, cores, reader_opt, ops = history
+        e = entry(reader_opt=reader_opt, granules=granules, cores=cores)
+        model = _GranuleModel(granules, reader_opt)
+        full = (1 << granules) - 1
+        for name, core, a, b in ops:
+            if name == "clear":
+                got, want = e.clear(), model.clear()
+            elif name == "update_from_md":
+                got = e.update_from_md(core, a, b)
+                want = model.update_from_md(core, a & full, b & full)
+            else:
+                got = getattr(e, name)(core, a & full)
+                want = getattr(model, name)(core, a & full)
+            assert got == want, name
+            assert e.ts == model.ts
+            assert e.last_conflict_mask == model.conflict_mask
+            assert e.last_conflict_write == model.conflict_write
+            assert e.last_writer_map() == model.writer
+            assert [e.reader_cores(g) for g in range(granules)] == \
+                model.readers
+            assert e.cores() == model.cores()
 
 
 class TestEntryBits:
