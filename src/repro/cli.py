@@ -36,8 +36,8 @@
   per-thread access streams into a binary ``.rtrace`` file
   (:mod:`repro.workloads.trace`).
 * ``trace-run <path>`` — replay an ``.rtrace`` trace through the engine
-  (streamed, bounded memory; the trace's content digest keys the result
-  cache) and print the run's stats.
+  (streamed; the trace's content digest keys the result cache) and print
+  the run's stats.
 * ``trace-info <path>`` — inspect an ``.rtrace`` file: header fields,
   and by default a full streaming scan verifying structure, per-thread
   op counts and the content digest.
@@ -359,7 +359,7 @@ def _parser() -> argparse.ArgumentParser:
 
     trun_p = sub.add_parser(
         "trace-run", help="replay an .rtrace trace through the engine "
-                          "(streamed, bounded memory)")
+                          "(streamed)")
     trun_p.add_argument("path", help=".rtrace file to replay")
     trun_p.add_argument("--protocol", default=None,
                         choices=[m.value for m in ProtocolMode],

@@ -223,12 +223,18 @@ class DirectorySlice:
     def _enqueue(self, msg: Message) -> None:
         self._pending.setdefault(msg.block_addr, deque()).append(msg)
 
-    def _release_busy(self, block: int,
+    def _release_busy(self, ctx: BusyCtx,
                       rerun: Optional[Message] = None) -> None:
+        """Resolve ``ctx``: unblock its block with ``rerun`` at the head
+        of the block's queue, drain that queue next, and run the context's
+        continuation."""
+        block = ctx.block
         self._busy.pop(block, None)
         if rerun is not None:
             self._pending.setdefault(block, deque()).appendleft(rerun)
         self.queue.schedule(0, partial(self._drain, block))
+        if ctx.then is not None:
+            ctx.then()
 
     def _drain(self, block: int) -> None:
         queue = self._pending.get(block)
@@ -291,10 +297,8 @@ class DirectorySlice:
                 mtype = MessageType.GET
             elif mtype == MessageType.GETXCHK:
                 mtype = MessageType.GETX
-        if mtype == MessageType.GET:
-            self._do_get(msg, line)
-        elif mtype == MessageType.GETX:
-            self._do_getx(msg, line)
+        if mtype in (MessageType.GET, MessageType.GETX):
+            self._do_demand(msg, line, is_write=mtype == MessageType.GETX)
         elif mtype == MessageType.UPGRADE:
             self._do_upgrade(msg, line)
         else:
@@ -302,53 +306,34 @@ class DirectorySlice:
 
     # -- baseline MESI ---------------------------------------------------------
 
-    def _do_get(self, msg: Message, line: LlcLine) -> None:
+    def _do_demand(self, msg: Message, line: LlcLine, is_write: bool) -> None:
+        """Serve a GET (``is_write`` False) or a GETX."""
         block, core = msg.block_addr, msg.src
-        if line.state == DirState.I:
-            line.state = DirState.EM
-            line.owner = core
-            self._send(MessageType.DATA_E, core, block,
-                       self._data_payload(line),
-                       delay=self.config.llc.data_latency)
-        elif line.state == DirState.S:
-            line.sharers.add(core)
-            self._send(MessageType.DATA, core, block,
-                       self._data_payload(line),
-                       delay=self.config.llc.data_latency)
-        elif line.state == DirState.EM:
-            if line.owner == core:
-                self.stats[SLICE_REGRANTS] += 1
-                self._send(MessageType.DATA_E, core, block,
-                           self._data_payload(line),
-                           delay=self.config.llc.data_latency)
-                return
-            self._intervene(msg, line, MessageType.FWD_GET)
-        else:  # PRV
-            self._prv_join(msg, line, is_write=False)
-
-    def _do_getx(self, msg: Message, line: LlcLine) -> None:
-        block, core = msg.block_addr, msg.src
-        if line.state == DirState.I:
-            line.state = DirState.EM
-            line.owner = core
-            self._send(MessageType.DATA_E, core, block,
-                       self._data_payload(line),
-                       delay=self.config.llc.data_latency)
-        elif line.state == DirState.S:
+        state = line.state
+        if state == DirState.S and is_write:
             # A GETX from a listed sharer means the core silently evicted
             # its copy and the directory info is stale; drop it and serve.
             line.sharers.discard(core)
             self._invalidate_sharers(msg, line, upgrade=False)
-        elif line.state == DirState.EM:
-            if line.owner == core:
+        elif state == DirState.S:
+            line.sharers.add(core)
+            self._send(MessageType.DATA, core, block,
+                       self._data_payload(line),
+                       delay=self.config.llc.data_latency)
+        elif state == DirState.EM and line.owner != core:
+            self._intervene(msg, line, MessageType.FWD_GETX if is_write
+                            else MessageType.FWD_GET)
+        elif state == DirState.PRV:
+            self._prv_join(msg, line, is_write)
+        else:
+            # I, or the listed owner re-requesting (idempotent regrant).
+            if state == DirState.EM:
                 self.stats[SLICE_REGRANTS] += 1
-                self._send(MessageType.DATA_E, core, block,
-                           self._data_payload(line),
-                           delay=self.config.llc.data_latency)
-                return
-            self._intervene(msg, line, MessageType.FWD_GETX)
-        else:  # PRV
-            self._prv_join(msg, line, is_write=True)
+            line.state = DirState.EM
+            line.owner = core
+            self._send(MessageType.DATA_E, core, block,
+                       self._data_payload(line),
+                       delay=self.config.llc.data_latency)
 
     def _do_upgrade(self, msg: Message, line: LlcLine) -> None:
         block, core = msg.block_addr, msg.src
@@ -374,12 +359,7 @@ class DirectorySlice:
         self.stats[SLICE_UPGRADES_CONVERTED] += 1
         converted = Message(MessageType.GETX, src=msg.src, dst=msg.dst,
                             block_addr=block, payload=dict(msg.payload))
-        if line.state == DirState.I:
-            self._do_getx(converted, line)
-        elif line.state == DirState.S:
-            self._invalidate_sharers(converted, line, upgrade=False)
-        else:
-            self._intervene(converted, line, MessageType.FWD_GETX)
+        self._do_demand(converted, line, is_write=True)
 
     def _req_md_for(self, block: int) -> bool:
         if self.detector is None:
@@ -429,7 +409,7 @@ class DirectorySlice:
             self._send(MessageType.DATA_E, ctx.requestor, ctx.block,
                        self._data_payload(line, req_md=ctx.req_md),
                        delay=self.config.llc.data_latency)
-        self._release_busy(ctx.block)
+        self._release_busy(ctx)
 
     def _finish_fwd(self, ctx: BusyCtx, owner_kept_copy: bool,
                     dir_serves_data: bool) -> None:
@@ -452,7 +432,7 @@ class DirectorySlice:
             self._send(mtype, ctx.requestor, ctx.block,
                        self._data_payload(line, req_md=ctx.req_md),
                        delay=self.config.llc.data_latency)
-        self._release_busy(ctx.block)
+        self._release_busy(ctx)
 
     # -- FSLite: privatization ---------------------------------------------------
 
@@ -537,7 +517,7 @@ class DirectorySlice:
             self._send(MessageType.DATA_PRV, msg.src, block,
                        self._data_payload(line),
                        delay=self.config.llc.data_latency)
-        self._release_busy(block)
+        self._release_busy(ctx)
 
     @staticmethod
     def _record_access(sam_entry, msg: Message, core: int, gmask: int,
@@ -549,22 +529,29 @@ class DirectorySlice:
         if not is_write or msg.payload.get("is_rmw"):
             sam_entry.record_read(core, gmask)
 
-    def _prv_join(self, msg: Message, line: LlcLine, is_write: bool) -> None:
-        """Serve a Get/GetX for a privatized block (Section V-A, Fig. 8)."""
+    def _prv_check(self, msg: Message, is_write: bool) -> bool:
+        """SAM conflict check of a request on a privatized block (Fig. 8).
+        A pass is recorded in the SAM; a conflict starts the termination
+        that reruns ``msg`` once the episode has ended."""
         block, core = msg.block_addr, msg.src
         sam_entry = self.detector.sam.peek(block)
         if sam_entry is None:
             raise ProtocolError("PRV block without a SAM entry")
         self.stats[SLICE_SAM_ACCESSES] += 1
         gmask = self._gmask(msg.payload.get("touched_mask", 0))
-        ok = (sam_entry.check_write(core, gmask) if is_write
-              else sam_entry.check_read(core, gmask))
-        if not ok:
-            self.detector.record_conflict_abort(block)
-            self._start_termination(block, TerminationCause.CONFLICT,
-                                    rerun=msg)
+        if (sam_entry.check_write(core, gmask) if is_write
+                else sam_entry.check_read(core, gmask)):
+            self._record_access(sam_entry, msg, core, gmask, is_write)
+            return True
+        self.detector.record_conflict_abort(block)
+        self._start_termination(block, TerminationCause.CONFLICT, rerun=msg)
+        return False
+
+    def _prv_join(self, msg: Message, line: LlcLine, is_write: bool) -> None:
+        """Serve a Get/GetX for a privatized block (Section V-A, Fig. 8)."""
+        if not self._prv_check(msg, is_write):
             return
-        self._record_access(sam_entry, msg, core, gmask, is_write)
+        block, core = msg.block_addr, msg.src
         line.prv_sharers.add(core)
         self.stats[SLICE_PRV_JOINS] += 1
         if self.obs is not None:
@@ -580,27 +567,14 @@ class DirectorySlice:
         if core not in line.prv_sharers:
             self._prv_join(msg, line, is_write)
             return
-        sam_entry = self.detector.sam.peek(block)
-        if sam_entry is None:
-            raise ProtocolError("PRV block without a SAM entry")
-        self.stats[SLICE_SAM_ACCESSES] += 1
-        gmask = self._gmask(msg.payload.get("touched_mask", 0))
-        ok = (sam_entry.check_write(core, gmask) if is_write
-              else sam_entry.check_read(core, gmask))
-        if ok:
-            self.stats[SLICE_CHK_PASS] += 1
-            self._record_access(sam_entry, msg, core, gmask, is_write)
-            if msg.mtype == MessageType.UPGRADE:
-                self._send(MessageType.UPG_ACK_PRV, core, block, {},
-                           delay=self.config.protocol.conflict_check_latency)
-            else:
-                self._send(MessageType.ACK_PRV, core, block, {},
-                           delay=self.config.protocol.conflict_check_latency)
-        else:
+        if not self._prv_check(msg, is_write):
             self.stats[SLICE_CHK_FAIL] += 1
-            self.detector.record_conflict_abort(block)
-            self._start_termination(block, TerminationCause.CONFLICT,
-                                    rerun=msg)
+            return
+        self.stats[SLICE_CHK_PASS] += 1
+        ack = (MessageType.UPG_ACK_PRV if msg.mtype == MessageType.UPGRADE
+               else MessageType.ACK_PRV)
+        self._send(ack, core, block,
+                   delay=self.config.protocol.conflict_check_latency)
 
     # -- FSLite: termination -------------------------------------------------------
 
@@ -661,10 +635,7 @@ class DirectorySlice:
             line.dirty = True
         if self.obs is not None:
             self.obs.term_end(block, self.queue.now)
-        then = ctx.then
-        self._release_busy(block, rerun=ctx.request)
-        if then is not None:
-            then()
+        self._release_busy(ctx, rerun=ctx.request)
 
     def external_access(self, block: int) -> None:
         """Injection hook: an access forwarded from another socket must
@@ -690,57 +661,44 @@ class DirectorySlice:
         self._fetch_attempt(ctx, self.memory.read_block(ctx.block))
 
     def _fetch_attempt(self, ctx: BusyCtx, data: bytearray) -> None:
-        """Install the fetched block, resolving one victim per retry.  A
+        """Install the fetched block, resolving one victim (evict, recall
+        or terminate) per retry; ways of busy blocks are never victims.  A
         bound method (not a closure) so continuations stored in busy
         contexts survive machine snapshots."""
         block = ctx.block
         victim = self.llc.choose_victim(
-            block, protected=self._protected_ways(block))
-        if not victim.valid:
-            self._install_llc(block, data)
-            self._release_busy(block, rerun=ctx.request)
-        else:
-            # Resolve one victim (evict/recall/terminate), then retry.
-            self._make_room(block, partial(self._fetch_attempt, ctx, data))
-
-    def _make_room(self, block: int, then: Callable[[], None]) -> None:
-        """Resolve one victim way for ``block``, then call ``then``."""
-        victim = self.llc.choose_victim(block,
-                                        protected=self._protected_ways(block))
-        if not victim.valid:
-            then()
+            block, protected=self.llc.ways_holding(block, self._busy))
+        if victim.valid:
+            self._evict(self.llc.addr_of(victim), victim.payload,
+                        partial(self._fetch_attempt, ctx, data))
             return
-        victim_block = self.llc.addr_of(victim)
-        line = victim.payload
+        self._install_llc(block, data)
+        self._release_busy(ctx, rerun=ctx.request)
+
+    def _evict(self, block: int, line: LlcLine,
+               then: Optional[Callable[[], None]]) -> None:
+        """Evict ``block`` through the path its state needs (plain
+        eviction, recall, or PRV termination-with-merge); ``then`` runs
+        once it has left the LLC."""
         if line.state == DirState.I:
-            self._evict_llc_block(victim_block, line)
-            then()
+            self._evict_llc_block(block, line)
+            if then is not None:
+                then()
         elif line.state == DirState.PRV:
             evict_data = bytearray(line.data)
-            sam_entry = (self.detector.sam.peek(victim_block)
+            sam_entry = (self.detector.sam.peek(block)
                          if self.detector else None)
             snapshot = (sam_entry.last_writer_map() if sam_entry is not None
                         else None)
-            self.llc.invalidate(victim_block)
+            self.llc.invalidate(block)
             if self.detector is not None:
-                self.detector.drop_meta(victim_block)
+                self.detector.drop_meta(block)
             self._start_termination(
-                victim_block, TerminationCause.LLC_EVICTION,
+                block, TerminationCause.LLC_EVICTION,
                 prv_set=line.prv_sharers, lw_snapshot=snapshot,
                 evict_data=evict_data, then=then)
         else:
-            self._recall(victim_block, line, then)
-
-    def _protected_ways(self, block: int) -> List[int]:
-        set_index = self.llc.set_index_of(block)
-        protected = []
-        for busy_block in self._busy:
-            if self.llc.set_index_of(busy_block) != set_index:
-                continue
-            entry = self.llc.peek(busy_block)
-            if entry is not None:
-                protected.append(entry.way)
-        return protected
+            self._recall(block, line, then)
 
     def _evict_llc_block(self, block: int, line: LlcLine) -> None:
         self.llc.invalidate(block)
@@ -773,10 +731,7 @@ class DirectorySlice:
         line.owner = None
         line.sharers.clear()
         self._evict_llc_block(ctx.block, line)
-        then = ctx.then
-        self._release_busy(ctx.block)
-        if then is not None:
-            then()
+        self._release_busy(ctx)
 
     def _install_llc(self, block: int, data: bytearray) -> None:
         self.llc.fill(block, LlcLine(data=data))
@@ -786,90 +741,88 @@ class DirectorySlice:
 
     # ------------------------------------------------------ response path
 
+    #: Finisher of each busy kind that collects responses in ``waiting``.
+    _FINISHERS = {
+        BusyKind.INV_COLLECT: _finish_inv_collect,
+        BusyKind.RECALL: _finish_recall,
+        BusyKind.PRV_INIT: _finish_prv_init,
+        BusyKind.PRV_TERM: _finish_termination,
+    }
+
+    def _responded(self, ctx: BusyCtx, core: int) -> None:
+        """``core`` answered ``ctx``; the last awaited answer finishes it."""
+        ctx.waiting.discard(core)
+        if not ctx.waiting:
+            self._FINISHERS[ctx.kind](self, ctx)
+
+    def _absorb(self, block: int, data: bytes) -> None:
+        """The LLC copy takes a private copy's written-back bytes."""
+        line = self._line(block)
+        line.data = bytearray(data)
+        line.dirty = True
+
+    def _depart_prv(self, line: LlcLine, block: int, core: int,
+                    data: bytes) -> None:
+        """A PRV sharer left the episode with ``data``: merge its bytes
+        against the live SAM and drop it from the sharer set.
+
+        The departed core's SAM claims must survive the merge: sharers that
+        joined before this merge landed hold copies that are stale exactly
+        on these granules, and the claim is what turns their next CHK into
+        a conflict instead of a silent read/RMW of stale data. Claims are
+        reclaimed wholesale when the episode terminates.
+        """
+        sam_entry = self.detector.sam.peek(block)
+        if sam_entry is not None:
+            merge_block(line.data, data, core, sam_entry.last_writer_map(),
+                        self.granularity)
+        line.prv_sharers.discard(core)
+
     def _on_putm(self, msg: Message) -> None:
         block, core = msg.block_addr, msg.src
         data = msg.payload["data"]
         ctx = self._busy.get(block)
         if ctx is not None:
-            if ctx.kind == BusyKind.FWD and core == ctx.owner:
-                line = self._line(block)
-                line.data = bytearray(data)
-                line.dirty = True
-                self._send(MessageType.WB_ACK, core, block, {})
-                return  # stay busy; the wb-buffer response completes the FWD
-            if ctx.kind == BusyKind.PRV_TERM:
+            kind = ctx.kind
+            if kind == BusyKind.PRV_TERM:
                 if core in ctx.waiting:
                     self._term_merge(ctx, core, data)
-                    ctx.waiting.discard(core)
-                self._send(MessageType.WB_ACK, core, block, {})
-                if not ctx.waiting:
-                    self._finish_termination(ctx)
-                return
-            if ctx.kind == BusyKind.PRV_INIT:
-                line = self._line(block)
-                line.data = bytearray(data)
-                line.dirty = True
-                ctx.prospective.discard(core)
-                self._send(MessageType.WB_ACK, core, block, {})
-                # The evicting holder's writeback doubles as its TR_PRV
-                # response (see putm_in_flight): the init may finish now.
-                if core in ctx.waiting:
-                    ctx.waiting.discard(core)
-                    if not ctx.waiting:
-                        self._finish_prv_init(ctx)
-                return
-            if ctx.kind == BusyKind.RECALL:
-                line = self._line(block)
-                line.data = bytearray(data)
-                line.dirty = True
-                ctx.waiting.discard(core)
-                self._send(MessageType.WB_ACK, core, block, {})
-                if not ctx.waiting:
-                    self._finish_recall(ctx)
-                return
-            raise ProtocolError(f"PUTM during {ctx.kind} for {block:#x}")
-        entry = self.llc.peek(block)
-        if entry is None:
-            # Terminating-eviction already wrote to memory; stale PUTM.
-            self.stats[SLICE_STALE_PUTM] += 1
-            self._send(MessageType.WB_ACK, core, block, {})
+            elif (kind in (BusyKind.PRV_INIT, BusyKind.RECALL)
+                  or kind == BusyKind.FWD and core == ctx.owner):
+                self._absorb(block, data)
+                ctx.prospective.discard(core)  # an evicted holder won't join
+            else:
+                raise ProtocolError(f"PUTM during {kind} for {block:#x}")
+            self._send(MessageType.WB_ACK, core, block)
+            # The FWD stays busy: the wb-buffer response completes it. For
+            # a PRV_INIT the evicting holder's writeback doubles as its
+            # TR_PRV response (see putm_in_flight).
+            if kind != BusyKind.FWD:
+                self._responded(ctx, core)
             return
-        line = entry.payload
-        if line.state == DirState.EM and line.owner == core:
-            line.data = bytearray(data)
-            line.dirty = True
+        entry = self.llc.peek(block)
+        line = entry.payload if entry is not None else None
+        if line is not None and line.state == DirState.EM \
+                and line.owner == core:
+            self._absorb(block, data)
             line.state = DirState.I
             line.owner = None
-        elif line.state == DirState.PRV and core in line.prv_sharers:
-            sam_entry = (self.detector.sam.peek(block)
-                         if self.detector else None)
-            if sam_entry is not None:
-                merge_block(line.data, data, core,
-                            sam_entry.last_writer_map(), self.granularity)
-                # The departed core's SAM claims must survive the merge:
-                # sharers that joined before this merge landed hold copies
-                # that are stale exactly on these granules, and the claim
-                # is what turns their next CHK into a conflict instead of
-                # a silent read/RMW of stale data. Claims are reclaimed
-                # wholesale when the episode terminates.
-            line.prv_sharers.discard(core)
+        elif line is not None and line.state == DirState.PRV \
+                and core in line.prv_sharers:
+            self._depart_prv(line, block, core, data)
             line.dirty = True
         else:
+            # Not the owner any more, or a terminating eviction already
+            # wrote the block to memory: stale PUTM.
             self.stats[SLICE_STALE_PUTM] += 1
-        self._send(MessageType.WB_ACK, core, block, {})
+        self._send(MessageType.WB_ACK, core, block)
 
     def _on_inv_ack(self, msg: Message) -> None:
         ctx = self._busy.get(msg.block_addr)
-        if ctx is None:
-            return  # stale ack after a recall raced with something else
-        if ctx.kind == BusyKind.INV_COLLECT:
-            ctx.waiting.discard(msg.src)
-            if not ctx.waiting:
-                self._finish_inv_collect(ctx)
-        elif ctx.kind == BusyKind.RECALL:
-            ctx.waiting.discard(msg.src)
-            if not ctx.waiting:
-                self._finish_recall(ctx)
+        # Any other ack is stale (a recall raced with something else).
+        if ctx is not None and ctx.kind in (BusyKind.INV_COLLECT,
+                                            BusyKind.RECALL):
+            self._responded(ctx, msg.src)
 
     def _on_data_wb(self, msg: Message) -> None:
         block, data = msg.block_addr, msg.payload["data"]
@@ -877,34 +830,21 @@ class DirectorySlice:
         if ctx is None:
             # Flush attached to TR_PRV that arrived after init finished, or
             # a stale downgrade; accept the data.
-            entry = self.llc.peek(block)
-            if entry is not None:
-                entry.payload.data = bytearray(data)
-                entry.payload.dirty = True
-            return
-        if ctx.kind == BusyKind.FWD:
-            line = self._line(block)
-            line.data = bytearray(data)
-            line.dirty = True
+            if block in self.llc:
+                self._absorb(block, data)
+        elif ctx.kind == BusyKind.FWD:
+            self._absorb(block, data)
             owner_kept = not msg.payload.get("from_wb") and not msg.payload.get("xfer")
             self._finish_fwd(ctx, owner_kept_copy=owner_kept,
                              dir_serves_data=False)
         elif ctx.kind == BusyKind.PRV_INIT:
-            line = self._line(block)
-            line.data = bytearray(data)
-            line.dirty = True
+            self._absorb(block, data)  # the metadata response answers
         elif ctx.kind == BusyKind.RECALL:
-            line = self._line(block)
-            line.data = bytearray(data)
-            line.dirty = True
-            ctx.waiting.discard(msg.src)
-            if not ctx.waiting:
-                self._finish_recall(ctx)
+            self._absorb(block, data)
+            self._responded(ctx, msg.src)
         elif ctx.kind == BusyKind.PRV_TERM:
             self._term_merge(ctx, msg.src, data)
-            ctx.waiting.discard(msg.src)
-            if not ctx.waiting:
-                self._finish_termination(ctx)
+            self._responded(ctx, msg.src)
         else:
             raise ProtocolError(f"DATA_WB during {ctx.kind}")
 
@@ -923,9 +863,7 @@ class DirectorySlice:
             # The owner silently dropped its clean copy: serve from the LLC.
             self._finish_fwd(ctx, owner_kept_copy=False, dir_serves_data=True)
         elif ctx.kind == BusyKind.RECALL:
-            ctx.waiting.discard(msg.src)
-            if not ctx.waiting:
-                self._finish_recall(ctx)
+            self._responded(ctx, msg.src)
 
     # -- metadata ------------------------------------------------------------------
 
@@ -956,9 +894,7 @@ class DirectorySlice:
                 if msg.payload.get("putm_in_flight"):
                     ctx.prospective.discard(core)
                     return  # the PUTM completes this core's response
-                ctx.waiting.discard(core)
-                if not ctx.waiting:
-                    self._finish_prv_init(ctx)
+                self._responded(ctx, core)
 
     def _on_phantom(self, msg: Message) -> None:
         if self.detector is None:
@@ -968,43 +904,30 @@ class DirectorySlice:
         ctx = self._busy.get(block)
         if ctx is not None and ctx.kind == BusyKind.PRV_INIT:
             ctx.prospective.discard(core)
-            if core in ctx.waiting:
-                if msg.payload.get("putm_in_flight"):
-                    return  # hold the init open until the PUTM lands
-                ctx.waiting.discard(core)
-                if not ctx.waiting:
-                    self._finish_prv_init(ctx)
+            # With a PUTM in flight, hold the init open until it lands.
+            if not msg.payload.get("putm_in_flight"):
+                self._responded(ctx, core)
 
     # -- termination responses ---------------------------------------------------------
 
     def _on_prv_wb(self, msg: Message) -> None:
-        ctx = self._busy.get(msg.block_addr)
-        if ctx is None or ctx.kind != BusyKind.PRV_TERM:
-            # A termination that no longer exists (the core's response
-            # crossed the finish): merge against live SAM if still PRV.
-            entry = self.llc.peek(msg.block_addr)
-            if entry is not None and entry.payload.state == DirState.PRV:
-                sam_entry = self.detector.sam.peek(msg.block_addr)
-                if sam_entry is not None:
-                    merge_block(entry.payload.data, msg.payload["data"],
-                                msg.src, sam_entry.last_writer_map(),
-                                self.granularity)
-                    # Keep the claims (see the PUTM departure merge).
-                entry.payload.prv_sharers.discard(msg.src)
+        block, core = msg.block_addr, msg.src
+        ctx = self._busy.get(block)
+        if ctx is not None and ctx.kind == BusyKind.PRV_TERM:
+            if core in ctx.waiting:
+                self._term_merge(ctx, core, msg.payload["data"])
+                self._responded(ctx, core)
             return
-        if msg.src in ctx.waiting:
-            self._term_merge(ctx, msg.src, msg.payload["data"])
-            ctx.waiting.discard(msg.src)
-            if not ctx.waiting:
-                self._finish_termination(ctx)
+        # A termination that no longer exists (the core's response crossed
+        # the finish): merge against live SAM if still PRV.
+        entry = self.llc.peek(block)
+        if entry is not None and entry.payload.state == DirState.PRV:
+            self._depart_prv(entry.payload, block, core, msg.payload["data"])
 
     def _on_ctrl_wb(self, msg: Message) -> None:
         ctx = self._busy.get(msg.block_addr)
-        if ctx is None or ctx.kind != BusyKind.PRV_TERM:
-            return
-        ctx.waiting.discard(msg.src)
-        if not ctx.waiting:
-            self._finish_termination(ctx)
+        if ctx is not None and ctx.kind == BusyKind.PRV_TERM:
+            self._responded(ctx, msg.src)
 
     # ----------------------------------------------------------------- misc
 
@@ -1085,24 +1008,7 @@ class DirectorySlice:
         entry = self.llc.peek(block)
         if entry is None or self._is_blocked(block):
             return False
-        line = entry.payload
-        if line.state == DirState.I:
-            self._evict_llc_block(block, line)
-        elif line.state == DirState.PRV:
-            evict_data = bytearray(line.data)
-            sam_entry = (self.detector.sam.peek(block)
-                         if self.detector else None)
-            snapshot = (sam_entry.last_writer_map() if sam_entry is not None
-                        else None)
-            self.llc.invalidate(block)
-            if self.detector is not None:
-                self.detector.drop_meta(block)
-            self._start_termination(
-                block, TerminationCause.LLC_EVICTION,
-                prv_set=line.prv_sharers, lw_snapshot=snapshot,
-                evict_data=evict_data)
-        else:
-            self._recall(block, line, then=None)
+        self._evict(block, entry.payload, then=None)
         return True
 
     @property

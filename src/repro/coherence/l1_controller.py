@@ -155,8 +155,8 @@ class L1Controller:
             MessageType.UPG_ACK_PRV: self._on_upg_ack,
             MessageType.ACK_PRV: self._on_ack_prv,
             MessageType.INV: self._on_inv,
-            MessageType.FWD_GET: self._on_fwd_get,
-            MessageType.FWD_GETX: self._on_fwd_getx,
+            MessageType.FWD_GET: self._on_forward,
+            MessageType.FWD_GETX: self._on_forward,
             MessageType.TR_PRV: self._on_tr_prv,
             MessageType.INV_PRV: self._on_inv_prv,
             MessageType.RECALL: self._on_recall,
@@ -305,13 +305,19 @@ class L1Controller:
         self._mshrs[block] = mshr
         self._send_request(mshr, op)
 
+    def _send(self, mtype: MessageType, dst: int, block: int,
+              payload: dict, delay: int = 0) -> None:
+        self.network.send(Message(mtype, src=self.core_id, dst=dst,
+                                  block_addr=block, payload=payload),
+                          extra_delay=delay)
+
     def _send_request(self, mshr: Mshr, op: Op) -> None:
         _, byte_mask = bytes_touched(op.addr, op.size, self.block_size)
-        self.network.send(Message(
-            mshr.sent, src=self.core_id, dst=self.home_of(mshr.block_addr),
-            block_addr=mshr.block_addr,
-            payload={"touched_mask": byte_mask, "is_rmw": op.kind == OpKind.RMW},
-        ), extra_delay=self.config.l1.tag_latency)
+        block = mshr.block_addr
+        self._send(mshr.sent, self.home_of(block), block,
+                   {"touched_mask": byte_mask,
+                    "is_rmw": op.kind == OpKind.RMW},
+                   self.config.l1.tag_latency)
 
     def _reissue(self, mshr: Mshr) -> None:
         """Reissue an aborted request (Fig. 11 race) as a plain GET/GETX."""
@@ -327,10 +333,11 @@ class L1Controller:
     # -------------------------------------------------------------- fills
 
     def _fill(self, block: int, data: bytearray, state: L1State) -> L1Line:
-        """Allocate the line (evicting a victim if needed)."""
-        protected = self._protected_ways(block)
+        """Allocate the line (evicting a victim if needed).  Ways holding
+        blocks with in-flight transactions are never victims."""
         evicted = self.cache.fill(
-            block, L1Line(state=state, data=data), protected=protected)
+            block, L1Line(state=state, data=data),
+            protected=self.cache.ways_holding(block, self._mshrs))
         if evicted is not None:
             self._evict(self.cache.addr_of(evicted), evicted.payload)
         if self.mode.detects:
@@ -342,29 +349,15 @@ class L1Controller:
         entry = self.cache.peek(block)
         return entry.payload
 
-    def _protected_ways(self, block: int) -> List[int]:
-        """Ways in this set that host blocks with in-flight transactions."""
-        set_index = self.cache.set_index_of(block)
-        protected = []
-        for mshr_block in self._mshrs:
-            if self.cache.set_index_of(mshr_block) != set_index:
-                continue
-            entry = self.cache.peek(mshr_block)
-            if entry is not None:
-                protected.append(entry.way)
-        return protected
-
     def _evict(self, block: int, line: L1Line) -> None:
         """Handle a capacity eviction of ``line`` (stable state)."""
         if line.state in (L1State.M, L1State.PRV) or line.dirty:
             self.stats[CORE_WRITEBACKS] += 1
             self.write_buffer.insert(block, bytearray(line.data),
                                      prv=line.state == L1State.PRV)
-            self.network.send(Message(
-                MessageType.PUTM, src=self.core_id, dst=self.home_of(block),
-                block_addr=block,
-                payload={"data": bytes(line.data),
-                         "prv": line.state == L1State.PRV}))
+            self._send(MessageType.PUTM, self.home_of(block), block,
+                       {"data": bytes(line.data),
+                        "prv": line.state == L1State.PRV})
             # PRV metadata lives in the SAM already; M/E/S metadata may need
             # to be reported on eviction (SEND_MD, Section IV).
             if line.state != L1State.PRV:
@@ -382,12 +375,10 @@ class L1Controller:
         if pentry is not None and pentry.send_md and not pentry.empty:
             self.stats[CORE_REP_MD_SENT] += 1
             self.pam.md_sends += 1
-            self.network.send(Message(
-                MessageType.REP_MD, src=self.core_id,
-                dst=self.home_of(block), block_addr=block,
-                payload={"read_bits": pentry.read_bits,
-                         "write_bits": pentry.write_bits,
-                         "solicited": False}))
+            self._send(MessageType.REP_MD, self.home_of(block), block,
+                       {"read_bits": pentry.read_bits,
+                        "write_bits": pentry.write_bits,
+                        "solicited": False})
 
     # ----------------------------------------------------- message handling
 
@@ -431,10 +422,7 @@ class L1Controller:
             # here is a protocol bug.
             raise ProtocolError("data response for a resident line")
         line = self._fill(msg.block_addr, data, state)
-        if msg.payload.get("req_md") and self.mode.detects:
-            pentry = self.pam.get(msg.block_addr)
-            if pentry is not None:
-                pentry.send_md = True
+        self._note_req_md(msg.block_addr, msg.payload.get("req_md"))
         self._complete_mshr(msg.block_addr, mshr, line)
 
     def _complete_mshr(self, block: int, mshr: Mshr, line: L1Line) -> None:
@@ -471,10 +459,7 @@ class L1Controller:
         line = entry.payload
         line.state = (L1State.PRV if msg.mtype == MessageType.UPG_ACK_PRV
                       else L1State.M)
-        if msg.payload.get("req_md") and self.mode.detects:
-            pentry = self.pam.get(msg.block_addr)
-            if pentry is not None:
-                pentry.send_md = True
+        self._note_req_md(msg.block_addr, msg.payload.get("req_md"))
         self._complete_mshr(msg.block_addr, mshr, line)
 
     def _on_ack_prv(self, msg: Message) -> None:
@@ -486,6 +471,14 @@ class L1Controller:
             self._reissue(mshr)
             return
         self._complete_mshr(msg.block_addr, mshr, entry.payload)
+
+    def _note_req_md(self, block: int, req_md) -> None:
+        """A grant or downgrade carrying REQ_MD arms SEND_MD: the block's
+        PAM bits go to the directory when it is evicted (Section IV)."""
+        if req_md and self.mode.detects:
+            pentry = self.pam.get(block)
+            if pentry is not None:
+                pentry.send_md = True
 
     # -- invalidations and interventions ------------------------------------------
 
@@ -503,19 +496,16 @@ class L1Controller:
         dst = self.home_of(block)
         if pentry is not None:
             self.stats[CORE_REP_MD_SENT] += 1
-            self.network.send(Message(
-                MessageType.REP_MD, src=self.core_id, dst=dst,
-                block_addr=block,
-                payload={"read_bits": pentry.read_bits,
-                         "write_bits": pentry.write_bits,
-                         "solicited": solicited,
-                         "putm_in_flight": putm_in_flight}))
+            self._send(MessageType.REP_MD, dst, block,
+                       {"read_bits": pentry.read_bits,
+                        "write_bits": pentry.write_bits,
+                        "solicited": solicited,
+                        "putm_in_flight": putm_in_flight})
         else:
             self.stats[CORE_PHANTOM_SENT] += 1
-            self.network.send(Message(
-                MessageType.PHANTOM_MD, src=self.core_id, dst=dst,
-                block_addr=block, payload={"solicited": solicited,
-                                           "putm_in_flight": putm_in_flight}))
+            self._send(MessageType.PHANTOM_MD, dst, block,
+                       {"solicited": solicited,
+                        "putm_in_flight": putm_in_flight})
 
     def _invalidate_line(self, block: int, send_md: bool,
                          solicited: bool = True) -> None:
@@ -550,110 +540,57 @@ class L1Controller:
             # Silently evicted earlier; stale sharer info at the directory.
             if req_md:
                 self._metadata_response(msg.block_addr)
-        self.network.send(Message(
-            MessageType.INV_ACK, src=self.core_id, dst=msg.src,
-            block_addr=msg.block_addr,
-            payload={"requestor": msg.payload.get("requestor")}),
-            extra_delay=self.config.l1.tag_latency)
+        self._send(MessageType.INV_ACK, msg.src, msg.block_addr,
+                   {"requestor": msg.payload.get("requestor")},
+                   self.config.l1.tag_latency)
 
-    def _on_fwd_get(self, msg: Message) -> None:
+    def _on_forward(self, msg: Message) -> None:
+        """FWD_GET / FWD_GETX: serve the requestor from the owned line or
+        the write buffer, answer the directory, then downgrade to S
+        (FWD_GET) or invalidate (FWD_GETX)."""
         self.stats[CORE_INTERVENTIONS_RECEIVED] += 1
+        block = msg.block_addr
         req_md = bool(msg.payload.get("req_md"))
         requestor = msg.payload["requestor"]
-        entry = self.cache.peek(msg.block_addr)
+        getx = msg.mtype == MessageType.FWD_GETX
         delay = self.config.l1.data_latency
-        if entry is not None and entry.payload.state in (L1State.M, L1State.E):
-            line = entry.payload
-            self.network.send(Message(
-                MessageType.DATA_TO_REQ, src=self.core_id, dst=requestor,
-                block_addr=msg.block_addr,
-                payload={"data": bytes(line.data), "req_md": req_md}),
-                extra_delay=delay)
-            if line.state == L1State.M or line.dirty:
-                self.network.send(Message(
-                    MessageType.DATA_WB, src=self.core_id, dst=msg.src,
-                    block_addr=msg.block_addr,
-                    payload={"data": bytes(line.data), "requestor": requestor}),
-                    extra_delay=delay)
-            else:
-                self.network.send(Message(
-                    MessageType.XFER_ACK, src=self.core_id, dst=msg.src,
-                    block_addr=msg.block_addr,
-                    payload={"requestor": requestor}), extra_delay=delay)
-            line.state = L1State.S
-            line.dirty = False
-            if req_md and self.mode.detects:
-                self._metadata_response(msg.block_addr)
-                pentry = self.pam.get(msg.block_addr)
-                if pentry is not None:
-                    pentry.send_md = True
-        elif msg.block_addr in self.write_buffer:
-            wb = self.write_buffer.get(msg.block_addr)
-            self.network.send(Message(
-                MessageType.DATA_TO_REQ, src=self.core_id, dst=requestor,
-                block_addr=msg.block_addr,
-                payload={"data": bytes(wb.data), "req_md": req_md}),
-                extra_delay=delay)
-            self.network.send(Message(
-                MessageType.DATA_WB, src=self.core_id, dst=msg.src,
-                block_addr=msg.block_addr,
-                payload={"data": bytes(wb.data), "requestor": requestor,
-                         "from_wb": True}), extra_delay=delay)
-            if req_md:
-                self._metadata_response(msg.block_addr)
-        else:
+        entry = self.cache.peek(block)
+        line = (entry.payload if entry is not None
+                and entry.payload.state in (L1State.M, L1State.E) else None)
+        wb = self.write_buffer.get(block) if line is None else None
+        if line is None and wb is None:
             # Clean silent eviction (the ordered forward network guarantees
             # no grant is in flight behind this): the LLC copy is valid.
-            self.network.send(Message(
-                MessageType.ACK_NO_DATA, src=self.core_id, dst=msg.src,
-                block_addr=msg.block_addr,
-                payload={"requestor": requestor}), extra_delay=delay)
+            self._send(MessageType.ACK_NO_DATA, msg.src, block,
+                       {"requestor": requestor}, delay)
             if req_md:
-                self._metadata_response(msg.block_addr)
-
-    def _on_fwd_getx(self, msg: Message) -> None:
-        self.stats[CORE_INTERVENTIONS_RECEIVED] += 1
-        req_md = bool(msg.payload.get("req_md"))
-        requestor = msg.payload["requestor"]
-        entry = self.cache.peek(msg.block_addr)
-        delay = self.config.l1.data_latency
-        if entry is not None and entry.payload.state in (L1State.M, L1State.E):
-            line = entry.payload
-            self.network.send(Message(
-                MessageType.DATA_TO_REQ, src=self.core_id, dst=requestor,
-                block_addr=msg.block_addr,
-                payload={"data": bytes(line.data), "req_md": req_md}),
-                extra_delay=delay)
-            # The transfer ack carries the data so the LLC copy is always
-            # fresh; this is what makes drop-and-reissue races safe.
-            self.network.send(Message(
-                MessageType.DATA_WB, src=self.core_id, dst=msg.src,
-                block_addr=msg.block_addr,
-                payload={"data": bytes(line.data), "requestor": requestor,
-                         "xfer": True}), extra_delay=delay)
-            self._invalidate_line(msg.block_addr, send_md=req_md)
-        elif msg.block_addr in self.write_buffer:
-            wb = self.write_buffer.get(msg.block_addr)
-            self.network.send(Message(
-                MessageType.DATA_TO_REQ, src=self.core_id, dst=requestor,
-                block_addr=msg.block_addr,
-                payload={"data": bytes(wb.data), "req_md": req_md}),
-                extra_delay=delay)
-            self.network.send(Message(
-                MessageType.DATA_WB, src=self.core_id, dst=msg.src,
-                block_addr=msg.block_addr,
-                payload={"data": bytes(wb.data), "requestor": requestor,
-                         "xfer": True, "from_wb": True}),
-                extra_delay=delay)
-            if req_md:
-                self._metadata_response(msg.block_addr)
+                self._metadata_response(block)
+            return
+        data = bytes((line or wb).data)
+        self._send(MessageType.DATA_TO_REQ, requestor, block,
+                   {"data": data, "req_md": req_md}, delay)
+        if getx or wb is not None or line.state == L1State.M or line.dirty:
+            # A FWD_GETX's transfer ack carries the data so the LLC copy is
+            # always fresh; this is what makes drop-and-reissue races safe.
+            payload = {"data": data, "requestor": requestor}
+            if getx:
+                payload["xfer"] = True
+            if wb is not None:
+                payload["from_wb"] = True
+            self._send(MessageType.DATA_WB, msg.src, block, payload, delay)
         else:
-            self.network.send(Message(
-                MessageType.ACK_NO_DATA, src=self.core_id, dst=msg.src,
-                block_addr=msg.block_addr,
-                payload={"requestor": requestor}), extra_delay=delay)
-            if req_md:
-                self._metadata_response(msg.block_addr)
+            self._send(MessageType.XFER_ACK, msg.src, block,
+                       {"requestor": requestor}, delay)
+        if req_md:
+            self._metadata_response(block)
+        if line is None:
+            return
+        if getx:
+            self._invalidate_line(block, send_md=False)
+        else:
+            line.state = L1State.S
+            line.dirty = False
+            self._note_req_md(block, req_md)
 
     # -- privatization ------------------------------------------------------------
 
@@ -664,11 +601,8 @@ class L1Controller:
             line = entry.payload
             if line.state == L1State.M or line.dirty:
                 # Flush so the LLC copy is fresh at privatization start.
-                self.network.send(Message(
-                    MessageType.DATA_WB, src=self.core_id, dst=msg.src,
-                    block_addr=msg.block_addr,
-                    payload={"data": bytes(line.data), "tr_prv": True}),
-                    extra_delay=delay)
+                self._send(MessageType.DATA_WB, msg.src, msg.block_addr,
+                           {"data": bytes(line.data), "tr_prv": True}, delay)
                 line.dirty = False
             self._metadata_response(msg.block_addr)
             pentry = self.pam.get(msg.block_addr)
@@ -701,11 +635,8 @@ class L1Controller:
         mshr = self._mshrs.get(msg.block_addr)
         delay = self.config.l1.data_latency
         if entry is not None:
-            line = entry.payload
-            self.network.send(Message(
-                MessageType.PRV_WB, src=self.core_id, dst=msg.src,
-                block_addr=msg.block_addr,
-                payload={"data": bytes(line.data)}), extra_delay=delay)
+            self._send(MessageType.PRV_WB, msg.src, msg.block_addr,
+                       {"data": bytes(entry.payload.data)}, delay)
             self.cache.invalidate(msg.block_addr)
             self.pam.invalidate(msg.block_addr)
             if mshr is not None:
@@ -721,10 +652,8 @@ class L1Controller:
             # privatized bytes in the late PUTM would never be merged.
             pass
         else:
-            self.network.send(Message(
-                MessageType.CTRL_WB, src=self.core_id, dst=msg.src,
-                block_addr=msg.block_addr, payload={}),
-                extra_delay=self.config.l1.tag_latency)
+            self._send(MessageType.CTRL_WB, msg.src, msg.block_addr, {},
+                       self.config.l1.tag_latency)
             if mshr is not None and mshr.sent in (
                     MessageType.GET, MessageType.GETX, MessageType.UPGRADE):
                 mshr.aborted = True
@@ -736,11 +665,9 @@ class L1Controller:
         delay = self.config.l1.data_latency
         if entry is not None and (entry.payload.state == L1State.M
                                   or entry.payload.dirty):
-            self.network.send(Message(
-                MessageType.DATA_WB, src=self.core_id, dst=msg.src,
-                block_addr=msg.block_addr,
-                payload={"data": bytes(entry.payload.data), "recall": True}),
-                extra_delay=delay)
+            self._send(MessageType.DATA_WB, msg.src, msg.block_addr,
+                       {"data": bytes(entry.payload.data), "recall": True},
+                       delay)
             self._invalidate_line(msg.block_addr,
                                   send_md=bool(msg.payload.get("req_md")))
         elif msg.block_addr in self.write_buffer:
@@ -755,10 +682,8 @@ class L1Controller:
             if entry is not None:
                 self._invalidate_line(msg.block_addr,
                                       send_md=bool(msg.payload.get("req_md")))
-            self.network.send(Message(
-                MessageType.ACK_NO_DATA, src=self.core_id, dst=msg.src,
-                block_addr=msg.block_addr, payload={"recall": True}),
-                extra_delay=self.config.l1.tag_latency)
+            self._send(MessageType.ACK_NO_DATA, msg.src, msg.block_addr,
+                       {"recall": True}, self.config.l1.tag_latency)
 
     def _on_wb_ack(self, msg: Message) -> None:
         if msg.block_addr in self.write_buffer:
@@ -793,7 +718,7 @@ class L1Controller:
 
         Refuses blocks with an in-flight transaction or a buffered
         writeback — real victim selection protects those ways too
-        (:meth:`_protected_ways`), so a forced eviction stays
+        (:meth:`_fill`), so a forced eviction stays
         indistinguishable from a natural one.
         """
         if block in self._mshrs or block in self.write_buffer:

@@ -55,7 +55,9 @@ from repro.harness.runner import (RunRecord, RunSpec, build_warm_snapshot,
 #: snapshots pickle the heap, so older ones are rebuilt, not restored.
 #: "5": SAM entries hold per-core granule masks instead of per-granule
 #: lists; warm-start snapshots pickle them, so older ones are rebuilt.
-CODE_VERSION = "5"
+#: "6": the L1 and directory controllers' message handlers were merged;
+#: warm-start snapshots pickle their bound-method dispatch tables.
+CODE_VERSION = "6"
 
 _log = logging.getLogger(__name__)
 

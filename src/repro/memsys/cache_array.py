@@ -25,8 +25,8 @@ Three hot-path properties:
 from __future__ import annotations
 
 from functools import partial
-from typing import (Callable, Dict, Generic, Iterator, List, Optional,
-                    Sequence, TypeVar)
+from typing import (Callable, Dict, Generic, Iterable, Iterator, List,
+                    Optional, Sequence, TypeVar)
 
 from repro.memsys.replacement import ReplacementPolicy, make_policy
 
@@ -210,6 +210,17 @@ class CacheArray(Generic[T]):
         self._policies[victim.set_index].touch(victim.way)
         self.fills += 1
         return evicted
+
+    def ways_holding(self, block_addr: int,
+                     blocks: Iterable[int]) -> List[int]:
+        """Ways of ``block_addr``'s set that hold one of ``blocks``: the
+        ``protected`` argument that keeps blocks with in-flight
+        transactions out of victim choice."""
+        set_index = self.set_index_of(block_addr)
+        index = self._index
+        return [entry.way for block in blocks
+                if (entry := index.get(block)) is not None
+                and entry.set_index == set_index]
 
     def invalidate(self, block_addr: int) -> Optional[T]:
         """Remove ``block_addr``; return its payload if it was present."""

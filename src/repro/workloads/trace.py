@@ -6,8 +6,9 @@ instead: any existing :class:`~repro.workloads.base.Workload` can be frozen
 into a compact binary trace (:func:`record_trace`), traces can be generated
 from statistical sharing profiles (:func:`synthesize_trace`), and a
 :class:`TraceWorkload` streams a trace of millions of ops back through the
-machine in bounded memory — trace size no longer bounds what the engine can
-run.
+machine without materialising its op lists.  (The cores still keep one
+history entry per op for snapshot restore, so replay memory grows with
+trace length.)
 
 Format (``.rtrace``, version 1)
 -------------------------------

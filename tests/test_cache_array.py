@@ -39,6 +39,19 @@ class TestBasicOperations:
         assert 0x2000 in c
         assert 0x3000 not in c
 
+    def test_ways_holding(self):
+        # 4 sets of 64-byte blocks: 0x000, 0x100 and 0x200 share set 0.
+        c = make()
+        c.fill(0x000, "a")
+        c.fill(0x100, "b")
+        c.fill(0x040, "other set")
+        ways = {0x000: c.peek(0x000).way, 0x100: c.peek(0x100).way}
+        # Blocks of other sets and non-resident blocks protect nothing.
+        assert c.ways_holding(0x200, [0x100, 0x040, 0x300]) == [ways[0x100]]
+        assert c.ways_holding(0x200, {0x000: 1, 0x100: 2}) == \
+            [ways[0x000], ways[0x100]]
+        assert c.ways_holding(0x200, []) == []
+
     def test_len_and_occupancy(self):
         c = make()
         assert len(c) == 0

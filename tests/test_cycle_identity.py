@@ -6,7 +6,9 @@ network, lazy cache arrays): for one false-sharing workload (RC) and one
 without false sharing (FA), at a fixed seed and scale, under all three
 protocol modes with the sanitizer both off and on, it pins the exact cycle
 count, total message count, total network bytes, and a sha256 over the
-record's full canonical stats.
+record's full canonical stats.  It also pins the number of events the
+queue executed, which a refactor that adds or drops a zero-delay event can
+change without moving any of the other four.
 
 Any optimisation that changes one of these numbers changed simulator
 *behaviour*, not just speed — which would also silently invalidate the
@@ -23,7 +25,7 @@ import pytest
 from repro.coherence.states import ProtocolMode
 from repro.common.config import SystemConfig
 from repro.harness.export import record_stats_digest
-from repro.harness.runner import RunSpec, execute_spec
+from repro.harness.runner import RunSpec, execute_spec, execute_spec_with_machine
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_identity.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -49,12 +51,13 @@ def test_golden_identity(digest, entry):
     spec = _spec_for(entry)
     assert spec.digest() == digest, \
         "RunSpec digest drifted: the spec encoding changed"
-    record = execute_spec(spec)
+    record, machine = execute_spec_with_machine(spec)
     network = record.stats.network
     assert record.cycles == entry["cycles"]
     assert network["msgs_total"] == entry["msgs_total"]
     assert network["bytes_total"] == entry["bytes_total"]
     assert record_stats_digest(record) == entry["stats_sha256"]
+    assert machine.queue.executed == entry["events_executed"]
 
 
 @pytest.mark.parametrize("mode", list(ProtocolMode),

@@ -6,10 +6,12 @@ drives one DirectorySlice and checks its responses and state.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.coherence.directory import DirectorySlice
-from repro.coherence.states import DirState, ProtocolMode
+from repro.coherence.states import DirState, ProtocolMode, TerminationCause
 from repro.common.config import SystemConfig
 from repro.common.events import EventQueue
 from repro.common.statkeys import (
@@ -228,3 +230,84 @@ class TestExternalSocket:
         h.inject(MessageType.GET, src=0, touched_mask=0xF)
         h.dir.external_access(BLOCK)  # must not raise or change state
         assert h.line().state == DirState.EM
+
+
+class TestContextCompletion:
+    """Every busy kind that collects responses finishes exactly once, on
+    the last awaited response, whatever kind of response that is."""
+
+    def _resident(self, mode, state, cores):
+        h = Harness(mode=mode)
+        h.inject(MessageType.GET, src=0, touched_mask=0xF)
+        line = h.line()
+        line.state, line.owner = state, None
+        if state == DirState.S:
+            line.sharers = set(cores)
+        else:
+            line.prv_sharers = set(cores)
+        h.clear()
+        return h, line
+
+    def _respond(self, h, responses, finished):
+        for mtype, src, payload in responses:
+            assert finished() == 0 and BLOCK in h.dir.busy_contexts()
+            h.inject(mtype, src=src, **payload)
+        assert finished() == 1 and BLOCK not in h.dir.busy_contexts()
+
+    INV_ACKS = [(MessageType.INV_ACK, 0, {"requestor": 3}),
+                (MessageType.INV_ACK, 1, {"requestor": 3})]
+    RECALL_RESPONSES = [(MessageType.INV_ACK, 0, {}),
+                        (MessageType.ACK_NO_DATA, 1, {"recall": True}),
+                        (MessageType.PUTM, 2, {"data": bytes(64)})]
+    TERM_RESPONSES = [(MessageType.PRV_WB, 0, {"data": DATA}),
+                      (MessageType.CTRL_WB, 1, {}),
+                      (MessageType.PUTM, 2, {"data": DATA, "prv": True})]
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(2))))
+    def test_inv_collect(self, order):
+        h, line = self._resident(ProtocolMode.MESI, DirState.S, {0, 1})
+        h.inject(MessageType.GETX, src=3, touched_mask=0xF)
+        h.clear()
+        self._respond(h, [self.INV_ACKS[i] for i in order],
+                      lambda: h.sent().count((MessageType.DATA_E, 3)))
+        assert line.state == DirState.EM and line.owner == 3
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_recall(self, order):
+        h, line = self._resident(ProtocolMode.MESI, DirState.S, {0, 1, 2})
+        calls = []
+        h.dir._recall(BLOCK, line, then=lambda: calls.append(1))
+        self._respond(h, [self.RECALL_RESPONSES[i] for i in order],
+                      lambda: len(calls))
+        assert h.line() is None
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_prv_term(self, order):
+        h, line = self._resident(ProtocolMode.FSLITE, DirState.PRV, {0, 1, 2})
+        h.dir.detector.sam.allocate(BLOCK)
+        calls = []
+        h.dir._start_termination(BLOCK, TerminationCause.CONFLICT,
+                                 then=lambda: calls.append(1))
+        self._respond(h, [self.TERM_RESPONSES[i] for i in order],
+                      lambda: len(calls))
+        assert line.state == DirState.I and not line.prv_sharers
+
+    @pytest.mark.parametrize("in_flight", [MessageType.REP_MD,
+                                           MessageType.PHANTOM_MD])
+    def test_prv_init_waits_for_the_putm(self, in_flight):
+        h, line = self._resident(ProtocolMode.FSLITE, DirState.S, {0, 1, 2})
+        trigger = Message(MessageType.GETX, src=3, dst=DIR_NODE,
+                          block_addr=BLOCK, payload={"touched_mask": 0xF << 32})
+        h.dir._start_prv_init(trigger, line)
+        h.queue.run()
+        h.clear()
+        md = {"read_bits": 0, "write_bits": 0, "solicited": True}
+        self._respond(h, [
+            (MessageType.PHANTOM_MD, 0, {"solicited": True}),
+            (MessageType.REP_MD, 1, dict(md, write_bits=0x1)),
+            # Core 2's eviction PUTM is still in flight: its metadata
+            # response must not finish the init, the PUTM does.
+            (in_flight, 2, dict(md, putm_in_flight=True)),
+            (MessageType.PUTM, 2, {"data": DATA}),
+        ], lambda: h.sent().count((MessageType.DATA_PRV, 3)))
+        assert line.state == DirState.PRV and line.prv_sharers == {1, 3}

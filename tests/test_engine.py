@@ -436,11 +436,13 @@ class TestCacheCompatibility:
 
     def test_code_version_bumped_for_pickled_sam_masks(self):
         # "3" marked the observability cache format, "4" the event heap's
-        # (time, seq, fn, arg) entries. "5" marks SAM entries stored as
-        # per-core granule masks: warm-start snapshots pickle both, so a
+        # (time, seq, fn, arg) entries, "5" SAM entries stored as per-core
+        # granule masks. "6" marks the merged L1/directory message
+        # handlers: warm-start snapshots pickle all of these (the handlers
+        # through the controllers' bound-method dispatch tables), so a
         # snapshot cached by older code is rebuilt, never restored into
         # the new classes.
-        assert CODE_VERSION == "5"
+        assert CODE_VERSION == "6"
 
     def test_spec_digest_unchanged_without_obs(self):
         # The obs field is only serialized when set, so every pre-existing

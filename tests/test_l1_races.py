@@ -350,3 +350,83 @@ class TestStrayResponses:
         h = Harness()
         with pytest.raises(ProtocolError):
             h.inject(MessageType.DATA, BLOCK, data=DATA)
+
+
+def _m_line(h):
+    h.issue(store(BLOCK, 5))
+    h.inject(MessageType.DATA_E, BLOCK, data=DATA)
+
+
+def _clean_e_line(h):
+    h.issue(load(BLOCK))
+    h.inject(MessageType.DATA_E, BLOCK, data=DATA)
+
+
+def _in_write_buffer(h):
+    _m_line(h)
+    line = h.l1.cache.peek(BLOCK).payload
+    h.l1.cache.invalidate(BLOCK)
+    h.l1._evict(BLOCK, line)
+
+
+def _no_copy(h):
+    pass
+
+
+REQ = 2
+_TO_REQ = (MessageType.DATA_TO_REQ, REQ, None, None, True)
+_ACK_NO_DATA = (MessageType.ACK_NO_DATA, DIR_NODE, None, None, None)
+_REP_MD = (MessageType.REP_MD, DIR_NODE, None, None, None)
+_PHANTOM = (MessageType.PHANTOM_MD, DIR_NODE, None, None, None)
+
+#: (forward, holding) -> (messages sent as (mtype, dst, xfer, from_wb,
+#: req_md), resulting line state or None when no line is left).
+FORWARD_CASES = {
+    (MessageType.FWD_GET, "M"): (
+        [_TO_REQ, (MessageType.DATA_WB, DIR_NODE, None, None, None), _REP_MD],
+        L1State.S),
+    (MessageType.FWD_GET, "clean E"): (
+        [_TO_REQ, (MessageType.XFER_ACK, DIR_NODE, None, None, None), _REP_MD],
+        L1State.S),
+    (MessageType.FWD_GET, "write buffer"): (
+        [_TO_REQ, (MessageType.DATA_WB, DIR_NODE, None, True, None), _PHANTOM],
+        None),
+    (MessageType.FWD_GET, "no copy"): ([_ACK_NO_DATA, _PHANTOM], None),
+    (MessageType.FWD_GETX, "M"): (
+        [_TO_REQ, (MessageType.DATA_WB, DIR_NODE, True, None, None), _REP_MD],
+        None),
+    (MessageType.FWD_GETX, "clean E"): (
+        [_TO_REQ, (MessageType.DATA_WB, DIR_NODE, True, None, None), _REP_MD],
+        None),
+    (MessageType.FWD_GETX, "write buffer"): (
+        [_TO_REQ, (MessageType.DATA_WB, DIR_NODE, True, True, None), _PHANTOM],
+        None),
+    (MessageType.FWD_GETX, "no copy"): ([_ACK_NO_DATA, _PHANTOM], None),
+}
+
+_HOLDING = {"M": _m_line, "clean E": _clean_e_line,
+            "write buffer": _in_write_buffer, "no copy": _no_copy}
+
+
+@pytest.mark.parametrize("fwd,holding", sorted(FORWARD_CASES, key=str),
+                         ids=[f"{f.name}-{h}"
+                              for f, h in sorted(FORWARD_CASES, key=str)])
+def test_forward_responses(fwd, holding):
+    """One intervention handler serves FWD_GET and FWD_GETX: exact
+    responses (with their xfer/from_wb/req_md bits) and the line left
+    behind, for each way the owner can hold the block."""
+    expected, state = FORWARD_CASES[fwd, holding]
+    h = Harness()
+    _HOLDING[holding](h)
+    h.clear()
+    h.inject(fwd, BLOCK, requestor=REQ, req_md=True)
+    assert [(m.mtype, m.dst, m.payload.get("xfer"), m.payload.get("from_wb"),
+             m.payload.get("req_md")) for m in h.net.sent] == expected
+    line = h.line(BLOCK)
+    assert (line.state if line is not None else None) == state
+    if state is L1State.S:
+        assert not line.dirty
+        assert h.l1.pam.get(BLOCK).send_md
+    head = DATA[:4] if holding == "clean E" else (5).to_bytes(4, "little")
+    assert all(m.payload["data"][:4] == head
+               for m in h.net.sent if "data" in m.payload)
