@@ -166,13 +166,11 @@ def differential_check(
                         f"flagged (privatized={rep.privatized}) but only "
                         f"one core ever accessed the block"))
         for sl in machine.slices:
-            for entry in sl.llc.iter_valid():
-                if entry.payload.state == DirState.PRV:
-                    addr = sl.llc.addr_of(entry)
-                    if addr not in multi:
-                        out.append(Divergence(
-                            "verdict", mode, addr,
-                            "left privatized but single-core"))
+            for addr, line in sl.llc.items():
+                if line.state == DirState.PRV and addr not in multi:
+                    out.append(Divergence(
+                        "verdict", mode, addr,
+                        "left privatized but single-core"))
 
     if check_mode_purity and mode is not ProtocolMode.FSLITE:
         stats = machine.network.stats
@@ -192,17 +190,17 @@ def differential_check(
                 "mode-purity", mode, None,
                 f"{privatizations} privatization(s) under {mode.value}"))
         for l1 in machine.l1s:
-            for entry in l1.cache.iter_valid():
-                if entry.payload.state == L1State.PRV:
+            for addr, line in l1.cache.items():
+                if line.state == L1State.PRV:
                     out.append(Divergence(
-                        "mode-purity", mode, l1.cache.addr_of(entry),
+                        "mode-purity", mode, addr,
                         f"L1[{l1.core_id}] line in PRV under "
                         f"{mode.value}"))
         for sl in machine.slices:
-            for entry in sl.llc.iter_valid():
-                if entry.payload.state == DirState.PRV:
+            for addr, line in sl.llc.items():
+                if line.state == DirState.PRV:
                     out.append(Divergence(
-                        "mode-purity", mode, sl.llc.addr_of(entry),
+                        "mode-purity", mode, addr,
                         f"directory entry in PRV under {mode.value}"))
 
     if check_metadata:

@@ -193,13 +193,12 @@ class Sanitizer(Observer):
             if not l1.block_quiescent(block):
                 return
         self.blocks_checked += 1
-        entry = home.llc.peek(block)
-        line = entry.payload if entry is not None else None
+        line = home.llc.peek(block)
         copies = {}  # core -> L1Line
         for l1 in machine.l1s:
-            l1_entry = l1.cache.peek(block)
-            if l1_entry is not None:
-                copies[l1.core_id] = l1_entry.payload
+            l1_line = l1.cache.peek(block)
+            if l1_line is not None:
+                copies[l1.core_id] = l1_line
         if line is None or line.state != DirState.PRV:
             # Episode over (or never started): forget departure tracking.
             self._prv_departed.pop(block, None)
@@ -388,11 +387,9 @@ class Sanitizer(Observer):
         for sl in self.machine.slices:
             if sl.detector is not None:
                 self._check_counters(sl)
-            for entry in sl.llc.iter_valid():
-                blocks.add(sl.llc.addr_of(entry))
+            blocks.update(block for block, _ in sl.llc.items())
         for l1 in self.machine.l1s:
-            for entry in l1.cache.iter_valid():
-                blocks.add(l1.cache.addr_of(entry))
+            blocks.update(block for block, _ in l1.cache.items())
         for block in sorted(blocks):
             self.check_block(block)
 

@@ -155,7 +155,6 @@ class DirectorySlice:
             num_sets=max(1, slice_blocks // config.llc.associativity),
             ways=config.llc.associativity,
             block_size=self.block_size,
-            policy="lru",
             index_divisor=num_slices,
             index_offset=slice_id,
         )
@@ -196,10 +195,10 @@ class DirectorySlice:
     # ----------------------------------------------------------- utilities
 
     def _line(self, block: int) -> LlcLine:
-        entry = self.llc.peek(block)
-        if entry is None:
+        line = self.llc.peek(block)
+        if line is None:
             raise ProtocolError(f"block {block:#x} not resident in LLC")
-        return entry.payload
+        return line
 
     def _gmask(self, byte_mask: int) -> int:
         return granule_mask(byte_mask, self.granularity, self.block_size)
@@ -269,12 +268,10 @@ class DirectorySlice:
         if self._is_blocked(block):
             self._enqueue(msg)
             return
-        entry = self.llc.peek(block)
-        if entry is None:
+        line = self.llc.lookup(block)
+        if line is None:
             self._start_fetch(msg)
             return
-        self.llc.lookup(block)  # touch LRU
-        line = entry.payload
         self.stats[SLICE_REQUESTS] += 1
         demand = msg.mtype in (MessageType.GET, MessageType.GETX,
                                MessageType.UPGRADE)
@@ -464,8 +461,8 @@ class DirectorySlice:
             self._handle_sam_eviction(evicted_block, evicted_entry)
 
     def _handle_sam_eviction(self, block: int, entry) -> None:
-        llc_entry = self.llc.peek(block)
-        if llc_entry is None or llc_entry.payload.state != DirState.PRV:
+        line = self.llc.peek(block)
+        if line is None or line.state != DirState.PRV:
             return
         if self._is_blocked(block):
             # A context is already resolving this block; losing detection
@@ -588,8 +585,7 @@ class DirectorySlice:
         evict_data: Optional[bytearray] = None,
         then: Optional[Callable[[], None]] = None,
     ) -> None:
-        line_entry = self.llc.peek(block)
-        line = line_entry.payload if line_entry is not None else None
+        line = self.llc.peek(block)
         sharers = set(prv_set) if prv_set is not None else (
             set(line.prv_sharers) if line is not None else set())
         if lw_snapshot is None:
@@ -640,8 +636,8 @@ class DirectorySlice:
     def external_access(self, block: int) -> None:
         """Injection hook: an access forwarded from another socket must
         terminate the privatized episode first (Section V-C)."""
-        entry = self.llc.peek(block)
-        if entry is None or entry.payload.state != DirState.PRV:
+        line = self.llc.peek(block)
+        if line is None or line.state != DirState.PRV:
             return
         if self._is_blocked(block):
             return
@@ -662,15 +658,13 @@ class DirectorySlice:
 
     def _fetch_attempt(self, ctx: BusyCtx, data: bytearray) -> None:
         """Install the fetched block, resolving one victim (evict, recall
-        or terminate) per retry; ways of busy blocks are never victims.  A
+        or terminate) per retry; busy blocks are never victims.  A
         bound method (not a closure) so continuations stored in busy
         contexts survive machine snapshots."""
         block = ctx.block
-        victim = self.llc.choose_victim(
-            block, protected=self.llc.ways_holding(block, self._busy))
-        if victim.valid:
-            self._evict(self.llc.addr_of(victim), victim.payload,
-                        partial(self._fetch_attempt, ctx, data))
+        victim = self.llc.choose_victim(block, protected=self._busy)
+        if victim is not None:
+            self._evict(*victim, partial(self._fetch_attempt, ctx, data))
             return
         self._install_llc(block, data)
         self._release_busy(ctx, rerun=ctx.request)
@@ -800,8 +794,7 @@ class DirectorySlice:
             if kind != BusyKind.FWD:
                 self._responded(ctx, core)
             return
-        entry = self.llc.peek(block)
-        line = entry.payload if entry is not None else None
+        line = self.llc.peek(block)
         if line is not None and line.state == DirState.EM \
                 and line.owner == core:
             self._absorb(block, data)
@@ -876,8 +869,8 @@ class DirectorySlice:
         ctx = self._busy.get(block)
         if ctx is not None and ctx.kind == BusyKind.PRV_TERM:
             return  # episode ending; metadata is obsolete
-        entry = self.llc.peek(block)
-        if entry is not None and entry.payload.state == DirState.PRV:
+        line = self.llc.peek(block)
+        if line is not None and line.state == DirState.PRV:
             return  # SAM already tracks PRV accesses via CHKs
         self.stats[SLICE_SAM_ACCESSES] += 1
         conflict, evicted_block, evicted_entry = self.detector.ingest_md(
@@ -920,9 +913,9 @@ class DirectorySlice:
             return
         # A termination that no longer exists (the core's response crossed
         # the finish): merge against live SAM if still PRV.
-        entry = self.llc.peek(block)
-        if entry is not None and entry.payload.state == DirState.PRV:
-            self._depart_prv(entry.payload, block, core, msg.payload["data"])
+        line = self.llc.peek(block)
+        if line is not None and line.state == DirState.PRV:
+            self._depart_prv(line, block, core, msg.payload["data"])
 
     def _on_ctrl_wb(self, msg: Message) -> None:
         ctx = self._busy.get(msg.block_addr)
@@ -964,8 +957,8 @@ class DirectorySlice:
             return False
         if self.detector.sam.peek(block) is None:
             return False
-        entry = self.llc.peek(block)
-        if entry is not None and entry.payload.state == DirState.PRV:
+        line = self.llc.peek(block)
+        if line is not None and line.state == DirState.PRV:
             self._start_termination(block, TerminationCause.SAM_EVICTION)
         else:
             self.detector.sam.invalidate(block)
@@ -1005,10 +998,10 @@ class DirectorySlice:
         """Force ``block`` out of the LLC through the normal victim paths
         (plain eviction, recall, or PRV termination-with-merge), as if
         capacity pressure had chosen it.  Refuses busy blocks."""
-        entry = self.llc.peek(block)
-        if entry is None or self._is_blocked(block):
+        line = self.llc.peek(block)
+        if line is None or self._is_blocked(block):
             return False
-        self._evict(block, entry.payload, then=None)
+        self._evict(block, line, then=None)
         return True
 
     @property

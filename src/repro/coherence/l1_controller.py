@@ -120,7 +120,6 @@ class L1Controller:
             num_sets=config.l1.num_sets,
             ways=config.l1.associativity,
             block_size=self.block_size,
-            policy="lru",
         )
         self.pam = PamTable(
             capacity=config.l1.num_blocks,
@@ -204,11 +203,10 @@ class L1Controller:
             wb_entry.meta.setdefault("pending_ops", []).append(
                 (op, on_complete))
             return
-        entry = self.cache.lookup(block)
-        if entry is None:
+        line = self.cache.lookup(block)
+        if line is None:
             self._start_miss(block, None, op, on_complete)
             return
-        line = entry.payload
         state = line.state
         # Hit check. A resident line is always in a stable state (S/E/M/
         # PRV); loads hit any of them, stores need M/E, and PRV accesses
@@ -333,21 +331,19 @@ class L1Controller:
     # -------------------------------------------------------------- fills
 
     def _fill(self, block: int, data: bytearray, state: L1State) -> L1Line:
-        """Allocate the line (evicting a victim if needed).  Ways holding
-        blocks with in-flight transactions are never victims."""
-        evicted = self.cache.fill(
-            block, L1Line(state=state, data=data),
-            protected=self.cache.ways_holding(block, self._mshrs))
+        """Allocate the line (evicting a victim if needed).  Blocks with
+        in-flight transactions are never victims."""
+        line = L1Line(state=state, data=data)
+        evicted = self.cache.fill(block, line, protected=self._mshrs)
         if evicted is not None:
-            self._evict(self.cache.addr_of(evicted), evicted.payload)
+            self._evict(*evicted)
         if self.mode.detects:
             if block in self.pam:
                 raise ProtocolError("stale PAM entry at fill")
             self.pam.allocate(block)
         if state == L1State.PRV:
             self.stats[CORE_PRV_FILLS] += 1
-        entry = self.cache.peek(block)
-        return entry.payload
+        return line
 
     def _evict(self, block: int, line: L1Line) -> None:
         """Handle a capacity eviction of ``line`` (stable state)."""
@@ -415,8 +411,7 @@ class L1Controller:
             return
         data = bytearray(msg.payload["data"])
         state = self._fill_state_for(msg, mshr)
-        existing = self.cache.peek(msg.block_addr)
-        if existing is not None:
+        if self.cache.peek(msg.block_addr) is not None:
             # A CHK answered with data after termination: the line was
             # invalidated by Inv_PRV before this response, so a live line
             # here is a protocol bug.
@@ -450,13 +445,12 @@ class L1Controller:
         mshr = self._mshrs.get(msg.block_addr)
         if mshr is None:
             raise ProtocolError(f"stray upgrade ack: {msg}")
-        entry = self.cache.peek(msg.block_addr)
-        if entry is None or mshr.aborted:
+        line = self.cache.peek(msg.block_addr)
+        if line is None or mshr.aborted:
             # Invalidated while the upgrade was in flight (Fig. 12 race):
             # reissue as GetX.
             self._reissue(mshr)
             return
-        line = entry.payload
         line.state = (L1State.PRV if msg.mtype == MessageType.UPG_ACK_PRV
                       else L1State.M)
         self._note_req_md(msg.block_addr, msg.payload.get("req_md"))
@@ -466,11 +460,11 @@ class L1Controller:
         mshr = self._mshrs.get(msg.block_addr)
         if mshr is None:
             raise ProtocolError(f"stray Ack_PRV: {msg}")
-        entry = self.cache.peek(msg.block_addr)
-        if entry is None or entry.payload.state != L1State.PRV or mshr.aborted:
+        line = self.cache.peek(msg.block_addr)
+        if line is None or line.state != L1State.PRV or mshr.aborted:
             self._reissue(mshr)
             return
-        self._complete_mshr(msg.block_addr, mshr, entry.payload)
+        self._complete_mshr(msg.block_addr, mshr, line)
 
     def _note_req_md(self, block: int, req_md) -> None:
         """A grant or downgrade carrying REQ_MD arms SEND_MD: the block's
@@ -518,23 +512,23 @@ class L1Controller:
         self.stats[CORE_INVALIDATIONS_RECEIVED] += 1
         req_md = bool(msg.payload.get("req_md"))
         mshr = self._mshrs.get(msg.block_addr)
-        entry = self.cache.peek(msg.block_addr)
+        line = self.cache.peek(msg.block_addr)
         if mshr is not None and mshr.sent == MessageType.UPGRADE:
             # Our upgrade lost the race; the directory converts it to a
             # GetX and answers with data, so just drop the S copy.
-            if entry is not None:
+            if line is not None:
                 self._invalidate_line(msg.block_addr, send_md=req_md)
-        elif mshr is not None and mshr.sent == MessageType.GET and entry is None:
+        elif mshr is not None and mshr.sent == MessageType.GET and line is None:
             # INV overtook the data response of a GET: consume then drop.
             if req_md:
                 self._metadata_response(msg.block_addr)
             mshr.inv_after_fill = True
-        elif mshr is not None and entry is None:
+        elif mshr is not None and line is None:
             # Stale sharer info (silent eviction) while a GETX/CHK is in
             # flight: acknowledge and carry on.
             if req_md:
                 self._metadata_response(msg.block_addr)
-        elif entry is not None:
+        elif line is not None:
             self._invalidate_line(msg.block_addr, send_md=req_md)
         else:
             # Silently evicted earlier; stale sharer info at the directory.
@@ -554,9 +548,9 @@ class L1Controller:
         requestor = msg.payload["requestor"]
         getx = msg.mtype == MessageType.FWD_GETX
         delay = self.config.l1.data_latency
-        entry = self.cache.peek(block)
-        line = (entry.payload if entry is not None
-                and entry.payload.state in (L1State.M, L1State.E) else None)
+        line = self.cache.peek(block)
+        if line is not None and line.state not in (L1State.M, L1State.E):
+            line = None
         wb = self.write_buffer.get(block) if line is None else None
         if line is None and wb is None:
             # Clean silent eviction (the ordered forward network guarantees
@@ -595,10 +589,9 @@ class L1Controller:
     # -- privatization ------------------------------------------------------------
 
     def _on_tr_prv(self, msg: Message) -> None:
-        entry = self.cache.peek(msg.block_addr)
+        line = self.cache.peek(msg.block_addr)
         delay = self.config.l1.data_latency
-        if entry is not None:
-            line = entry.payload
+        if line is not None:
             if line.state == L1State.M or line.dirty:
                 # Flush so the LLC copy is fresh at privatization start.
                 self._send(MessageType.DATA_WB, msg.src, msg.block_addr,
@@ -631,12 +624,12 @@ class L1Controller:
 
     def _on_inv_prv(self, msg: Message) -> None:
         self.stats[CORE_INVALIDATIONS_RECEIVED] += 1
-        entry = self.cache.peek(msg.block_addr)
+        line = self.cache.peek(msg.block_addr)
         mshr = self._mshrs.get(msg.block_addr)
         delay = self.config.l1.data_latency
-        if entry is not None:
+        if line is not None:
             self._send(MessageType.PRV_WB, msg.src, msg.block_addr,
-                       {"data": bytes(entry.payload.data)}, delay)
+                       {"data": bytes(line.data)}, delay)
             self.cache.invalidate(msg.block_addr)
             self.pam.invalidate(msg.block_addr)
             if mshr is not None:
@@ -661,12 +654,11 @@ class L1Controller:
     # -- recalls and writeback acks ------------------------------------------------
 
     def _on_recall(self, msg: Message) -> None:
-        entry = self.cache.peek(msg.block_addr)
+        line = self.cache.peek(msg.block_addr)
         delay = self.config.l1.data_latency
-        if entry is not None and (entry.payload.state == L1State.M
-                                  or entry.payload.dirty):
+        if line is not None and (line.state == L1State.M or line.dirty):
             self._send(MessageType.DATA_WB, msg.src, msg.block_addr,
-                       {"data": bytes(entry.payload.data), "recall": True},
+                       {"data": bytes(line.data), "recall": True},
                        delay)
             self._invalidate_line(msg.block_addr,
                                   send_md=bool(msg.payload.get("req_md")))
@@ -679,7 +671,7 @@ class L1Controller:
             # while the fresh bytes are still in flight.
             pass
         else:
-            if entry is not None:
+            if line is not None:
                 self._invalidate_line(msg.block_addr,
                                       send_md=bool(msg.payload.get("req_md")))
             self._send(MessageType.ACK_NO_DATA, msg.src, msg.block_addr,
@@ -709,7 +701,7 @@ class L1Controller:
 
     def resident_blocks(self) -> List[int]:
         """Sorted resident L1 block addresses (deterministic targeting)."""
-        return sorted(self.cache.addr_of(e) for e in self.cache.iter_valid())
+        return sorted(block for block, _ in self.cache.items())
 
     def fault_evict(self, block: int) -> bool:
         """Force a capacity-style eviction of ``block`` through the normal
@@ -723,11 +715,9 @@ class L1Controller:
         """
         if block in self._mshrs or block in self.write_buffer:
             return False
-        entry = self.cache.peek(block)
-        if entry is None:
+        line = self.cache.invalidate(block)
+        if line is None:
             return False
-        line = entry.payload
-        self.cache.invalidate(block)
         self._evict(block, line)
         return True
 

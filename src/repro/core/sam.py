@@ -206,18 +206,16 @@ class SamTable:
         self.num_cores = num_cores
         self.reader_opt = reader_opt
         self._array: CacheArray[SamEntry] = CacheArray(
-            num_sets=sets, ways=ways, block_size=block_size, policy="lru",
+            num_sets=sets, ways=ways, block_size=block_size,
             index_divisor=index_divisor, index_offset=index_offset)
         self.valid_replacements = 0
         self.allocations = 0
 
     def get(self, block_addr: int) -> Optional[SamEntry]:
-        entry = self._array.lookup(block_addr)
-        return entry.payload if entry is not None else None
+        return self._array.lookup(block_addr)
 
     def peek(self, block_addr: int) -> Optional[SamEntry]:
-        entry = self._array.peek(block_addr)
-        return entry.payload if entry is not None else None
+        return self._array.peek(block_addr)
 
     def allocate(self, block_addr: int):
         """Allocate an entry for ``block_addr``.
@@ -229,7 +227,7 @@ class SamTable:
         """
         existing = self._array.peek(block_addr)
         if existing is not None:
-            return existing.payload, None, None
+            return existing, None, None
         payload = SamEntry(
             num_granules=self.num_granules,
             num_cores=self.num_cores,
@@ -240,7 +238,7 @@ class SamTable:
         if evicted is None:
             return payload, None, None
         self.valid_replacements += 1
-        return payload, self._array.addr_of(evicted), evicted.payload
+        return (payload, *evicted)
 
     def invalidate(self, block_addr: int) -> Optional[SamEntry]:
         return self._array.invalidate(block_addr)
@@ -248,7 +246,7 @@ class SamTable:
     def resident_blocks(self) -> List[int]:
         """Sorted resident block addresses (used by :mod:`repro.faults` for
         deterministic fault targeting)."""
-        return sorted(self._array.addr_of(e) for e in self._array.iter_valid())
+        return sorted(block for block, _ in self._array.items())
 
     def __contains__(self, block_addr: int) -> bool:
         return block_addr in self._array

@@ -221,8 +221,7 @@ class FaultInjector(Observer):
         if kind == "llc_evict":
             return self._over_slices(
                 opp,
-                lambda sl: sorted(sl.llc.addr_of(e)
-                                  for e in sl.llc.iter_valid()),
+                lambda sl: sorted(block for block, _ in sl.llc.items()),
                 lambda sl, b: sl.fault_llc_eviction(b))
         raise AssertionError(f"unhandled state fault {kind!r}")
 

@@ -8,8 +8,8 @@ executes simulations:
   apps appear in fig02, fig13, fig14, fig16 and the traffic study).
 * **Cache** — completed :class:`RunRecord`\\ s are memoized to an on-disk
   JSON store keyed by ``spec.digest()``; entries carry a
-  :data:`CODE_VERSION` stamp and are invalidated when it changes (bump it
-  whenever protocol/simulator behaviour changes).
+  :data:`CODE_VERSION` stamp, a digest of the package source, and are
+  invalidated when it changes.
 * **Parallelism** — with ``jobs > 1`` pending specs fan out over a
   spawn-based process pool.  Simulations are deterministic per spec, so
   parallel and serial execution produce cycle-for-cycle identical records.
@@ -30,6 +30,7 @@ executes simulations:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -46,18 +47,23 @@ from repro.harness.export import record_from_dict, record_to_dict
 from repro.harness.runner import (RunRecord, RunSpec, build_warm_snapshot,
                                   execute_spec, warm_digest)
 
-#: Version stamp baked into every cache entry.  Bump on any change to the
-#: protocol engines, simulator timing or workloads so stale results are
-#: re-simulated instead of replayed.
-#: "3": observability layer — RunSpec grew the (conditionally serialized)
-#: ``obs`` field and records may carry an ``extra["obs"]`` payload.
-#: "4": event-heap entries became ``(time, seq, fn, arg)``; warm-start
-#: snapshots pickle the heap, so older ones are rebuilt, not restored.
-#: "5": SAM entries hold per-core granule masks instead of per-granule
-#: lists; warm-start snapshots pickle them, so older ones are rebuilt.
-#: "6": the L1 and directory controllers' message handlers were merged;
-#: warm-start snapshots pickle their bound-method dispatch tables.
-CODE_VERSION = "6"
+def source_digest(package_dir: pathlib.Path) -> str:
+    """Short sha256 over the sorted relative paths and contents of every
+    ``.py`` file under ``package_dir``."""
+    h = hashlib.sha256()
+    for rel, path in sorted((p.relative_to(package_dir).as_posix(), p)
+                            for p in package_dir.rglob("*.py")):
+        data = path.read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()[:16]
+
+
+#: Version stamp baked into every cache entry.  Any edit to the package's
+#: source (protocol engines, simulator timing, workloads, or the classes
+#: warm-start snapshots pickle) changes it, so stale results and snapshots
+#: are rebuilt instead of replayed.
+CODE_VERSION = source_digest(pathlib.Path(__file__).resolve().parent.parent)
 
 _log = logging.getLogger(__name__)
 

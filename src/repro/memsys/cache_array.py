@@ -1,34 +1,31 @@
-"""A generic set-associative array.
+"""A generic set-associative LRU array.
 
 Used for the L1 data cache, the LLC, and the SAM metadata table — anything
-that maps a block address to an entry with bounded associativity and a
-replacement policy. Entries are user-defined objects attached to a
-:class:`CacheEntry` frame that carries the tag and validity.
+that maps a block address to a payload with bounded associativity and LRU
+replacement.
 
-Three hot-path properties:
+Each set is one insertion-ordered ``block_addr -> payload`` dict kept in
+recency order: a hit moves its block to the end, so the first key is the
+least recently used block and a fill appends.  A set with fewer than
+``ways`` keys has a free way, so an invalidated block's slot is refilled
+before anything is evicted.
 
-* **Address index** — a ``block_addr -> entry`` dict, maintained by
-  :meth:`CacheArray.fill` and :meth:`CacheArray.invalidate`, answers
-  :meth:`CacheArray.lookup`/:meth:`CacheArray.peek` with one probe instead
-  of a tag scan over the set's ways.
-* **Lazy sets** — a 16 MB LLC is ~256K entry frames; building them eagerly
-  dominated cold-run machine construction.  A set's frames and replacement
-  policy materialize on first touch, so untouched sets cost nothing and a
-  peek into one is a single ``None`` check.
+Two hot-path properties:
+
+* **Lazy sets** — a 16 MB LLC has ~16K sets; building them eagerly dominated
+  cold-run machine construction.  A set's dict materializes on first fill,
+  so untouched sets cost nothing and a probe of one is a single ``None``
+  check.
 * **Shift/mask indexing** — when block size, slice interleave and set count
-  are powers of two (every shipped configuration), tag/set extraction is
-  one shift and one mask instead of two divisions and a modulo; the
-  division path remains as the general fallback.  Only fills and victim
-  choice index by set; hits never do.
+  are powers of two (every shipped configuration), set extraction is one
+  shift and one mask instead of two divisions and a modulo; the division
+  path remains as the general fallback.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import (Callable, Dict, Generic, Iterable, Iterator, List,
-                    Optional, Sequence, TypeVar)
-
-from repro.memsys.replacement import ReplacementPolicy, make_policy
+from typing import (Container, Dict, Generic, Iterator, List, Optional, Tuple,
+                    TypeVar)
 
 T = TypeVar("T")
 
@@ -40,31 +37,15 @@ def _pow2_bits(value: int) -> Optional[int]:
     return None
 
 
-class CacheEntry(Generic[T]):
-    """One way of one set: a tag frame plus a user payload.
-
-    ``__slots__``: large arrays hold hundreds of thousands of frames.
-    """
-
-    __slots__ = ("valid", "tag", "payload", "way", "set_index")
-
-    def __init__(self, valid: bool = False, tag: int = -1,
-                 payload: Optional[T] = None, way: int = -1,
-                 set_index: int = -1) -> None:
-        self.valid = valid
-        self.tag = tag
-        self.payload = payload
-        self.way = way
-        self.set_index = set_index
-
-
 class CacheArray(Generic[T]):
-    """Set-associative storage indexed by block address.
+    """Set-associative LRU storage of payloads indexed by block address.
 
     The array hashes a block address to a set using the block number modulo
     the set count (after dropping slice-interleaving handled by callers).
     Addresses are block base addresses of this array's slice (block number
     ``index_offset`` modulo ``index_divisor``); :meth:`fill` rejects others.
+    Payloads must not be None: :meth:`lookup` and :meth:`peek` return None
+    on a miss.
     """
 
     def __init__(
@@ -72,13 +53,13 @@ class CacheArray(Generic[T]):
         num_sets: int,
         ways: int,
         block_size: int,
-        policy: str = "lru",
-        policy_factory: Optional[Callable[[int], ReplacementPolicy]] = None,
         index_divisor: int = 1,
         index_offset: int = 0,
     ) -> None:
         if num_sets < 1:
             raise ValueError("num_sets must be >= 1")
+        if ways < 1:
+            raise ValueError("ways must be >= 1")
         self.num_sets = num_sets
         self.ways = ways
         self.block_size = block_size
@@ -89,178 +70,106 @@ class CacheArray(Generic[T]):
         self.index_offset = index_offset
         # local_block = (addr // block_size) // index_divisor
         #             = addr // (block_size * index_divisor); when all three
-        # granularities are powers of two the set/tag split is shift+mask.
+        # granularities are powers of two the set index is shift+mask.
         local_bits = _pow2_bits(block_size * index_divisor)
-        set_bits = _pow2_bits(num_sets)
-        if local_bits is not None and set_bits is not None:
+        if local_bits is not None and _pow2_bits(num_sets) is not None:
             self._local_shift: Optional[int] = local_bits
             self._set_mask = num_sets - 1
-            self._tag_shift = local_bits + set_bits
         else:
             self._local_shift = None
             self._set_mask = 0
-            self._tag_shift = 0
-        if policy_factory is None:
-            # partial (not a lambda) so the array pickles with the machine.
-            policy_factory = partial(make_policy, policy)
-        self._policy_factory = policy_factory
-        #: Sets (and their policies) materialize on first touch.
-        self._sets: List[Optional[List[CacheEntry[T]]]] = [None] * num_sets
-        self._policies: List[Optional[ReplacementPolicy]] = [None] * num_sets
-        #: Resident block address -> its (valid) entry.
-        self._index: Dict[int, CacheEntry[T]] = {}
-        # Statistics.
-        self.lookups = 0
-        self.hits = 0
-        self.fills = 0
-        self.evictions = 0
-        self.valid_evictions = 0
+        #: Per-set ``block_addr -> payload`` in LRU-first order; a set
+        #: materializes on its first fill.
+        self._sets: List[Optional[Dict[int, T]]] = [None] * num_sets
 
     # -- indexing -----------------------------------------------------------
-
-    def _local_block(self, block_addr: int) -> int:
-        if self._local_shift is not None:
-            return block_addr >> self._local_shift
-        return (block_addr // self.block_size) // self.index_divisor
 
     def set_index_of(self, block_addr: int) -> int:
         if self._local_shift is not None:
             return (block_addr >> self._local_shift) & self._set_mask
-        return self._local_block(block_addr) % self.num_sets
-
-    def _tag_of(self, block_addr: int) -> int:
-        if self._local_shift is not None:
-            return block_addr >> self._tag_shift
-        return self._local_block(block_addr) // self.num_sets
-
-    def _materialize(self, set_index: int) -> List[CacheEntry[T]]:
-        ways = [CacheEntry(way=w, set_index=set_index)
-                for w in range(self.ways)]
-        self._sets[set_index] = ways
-        self._policies[set_index] = self._policy_factory(self.ways)
-        return ways
+        return ((block_addr // self.block_size) // self.index_divisor
+                % self.num_sets)
 
     # -- operations ---------------------------------------------------------
 
-    def lookup(self, block_addr: int, touch: bool = True) -> Optional[CacheEntry[T]]:
-        """Return the entry holding ``block_addr`` or None. Updates stats."""
-        self.lookups += 1
-        entry = self._index.get(block_addr)
-        if entry is not None:
-            self.hits += 1
-            if touch:
-                self._policies[entry.set_index].touch(entry.way)
-        return entry
+    def lookup(self, block_addr: int) -> Optional[T]:
+        """Return the payload of ``block_addr`` (or None) and make it the
+        set's most recently used block."""
+        shift = self._local_shift
+        s = self._sets[(block_addr >> shift) & self._set_mask
+                       if shift is not None
+                       else self.set_index_of(block_addr)]
+        if s is None:
+            return None
+        payload = s.pop(block_addr, None)
+        if payload is not None:
+            s[block_addr] = payload
+        return payload
 
-    def peek(self, block_addr: int) -> Optional[CacheEntry[T]]:
-        """Find ``block_addr`` without touching replacement state or stats."""
-        return self._index.get(block_addr)
+    def peek(self, block_addr: int) -> Optional[T]:
+        """Return the payload of ``block_addr`` (or None) without touching
+        replacement state."""
+        shift = self._local_shift
+        s = self._sets[(block_addr >> shift) & self._set_mask
+                       if shift is not None
+                       else self.set_index_of(block_addr)]
+        return None if s is None else s.get(block_addr)
 
     def choose_victim(
-        self, block_addr: int, protected: Sequence[int] = ()
-    ) -> CacheEntry[T]:
-        """Return the entry (possibly valid) to be replaced for a fill."""
-        set_index = self.set_index_of(block_addr)
-        ways = self._sets[set_index]
-        if ways is None:
-            ways = self._materialize(set_index)
-        for entry in ways:
-            if not entry.valid:
-                return entry
-        way = self._policies[set_index].victim(protected)
-        return ways[way]
+        self, block_addr: int, protected: Container[int] = ()
+    ) -> Optional[Tuple[int, T]]:
+        """The ``(block_addr, payload)`` a fill of ``block_addr`` would
+        evict, or None when its set has a free way.  The victim is the
+        least recently used block not in ``protected`` (blocks with
+        in-flight transactions), or the LRU block if all are protected."""
+        s = self._sets[self.set_index_of(block_addr)]
+        if s is None or len(s) < self.ways:
+            return None
+        for block in s:
+            if block not in protected:
+                return block, s[block]
+        block = next(iter(s))
+        return block, s[block]
 
     def fill(
         self,
         block_addr: int,
         payload: T,
-        protected: Sequence[int] = (),
-    ) -> Optional[CacheEntry[T]]:
-        """Insert ``block_addr``; return the evicted entry copy (or None).
-
-        The returned object is a detached :class:`CacheEntry` snapshot of the
-        victim so the caller can write back its payload; the in-array entry
-        is reused for the new block.
-        """
-        index = self._index
-        if block_addr in index:
-            raise ValueError(f"block {block_addr:#x} already present")
+        protected: Container[int] = (),
+    ) -> Optional[Tuple[int, T]]:
+        """Insert ``block_addr`` as its set's most recently used block;
+        return the evicted ``(block_addr, payload)`` (or None)."""
         if block_addr % self.block_size or (
                 block_addr // self.block_size % self.index_divisor
                 != self.index_offset):
             raise ValueError(
                 f"{block_addr:#x} is not a block address of this array")
-        victim = self.choose_victim(block_addr, protected)
-        evicted: Optional[CacheEntry[T]] = None
-        if victim.valid:
-            evicted = CacheEntry(
-                valid=True,
-                tag=victim.tag,
-                payload=victim.payload,
-                way=victim.way,
-                set_index=victim.set_index,
-            )
-            del index[self.addr_of(victim)]
-            self.evictions += 1
-            self.valid_evictions += 1
-        victim.valid = True
-        victim.tag = self._tag_of(block_addr)
-        victim.payload = payload
-        index[block_addr] = victim
-        self._policies[victim.set_index].touch(victim.way)
-        self.fills += 1
-        return evicted
-
-    def ways_holding(self, block_addr: int,
-                     blocks: Iterable[int]) -> List[int]:
-        """Ways of ``block_addr``'s set that hold one of ``blocks``: the
-        ``protected`` argument that keeps blocks with in-flight
-        transactions out of victim choice."""
         set_index = self.set_index_of(block_addr)
-        index = self._index
-        return [entry.way for block in blocks
-                if (entry := index.get(block)) is not None
-                and entry.set_index == set_index]
+        s = self._sets[set_index]
+        if s is None:
+            s = self._sets[set_index] = {}
+        elif block_addr in s:
+            raise ValueError(f"block {block_addr:#x} already present")
+        victim = self.choose_victim(block_addr, protected)
+        if victim is not None:
+            del s[victim[0]]
+        s[block_addr] = payload
+        return victim
 
     def invalidate(self, block_addr: int) -> Optional[T]:
         """Remove ``block_addr``; return its payload if it was present."""
-        entry = self._index.pop(block_addr, None)
-        if entry is None:
-            return None
-        payload = entry.payload
-        entry.valid = False
-        entry.tag = -1
-        entry.payload = None
-        self._policies[entry.set_index].reset(entry.way)
-        return payload
-
-    def addr_of(self, entry: CacheEntry[T]) -> int:
-        """Reconstruct the block base address stored in ``entry``."""
-        local = entry.tag * self.num_sets + entry.set_index
-        block_num = local * self.index_divisor + self.index_offset
-        return block_num * self.block_size
+        s = self._sets[self.set_index_of(block_addr)]
+        return None if s is None else s.pop(block_addr, None)
 
     def __contains__(self, block_addr: int) -> bool:
-        return block_addr in self._index
+        return self.peek(block_addr) is not None
 
     def __len__(self) -> int:
-        return len(self._index)
+        return sum(len(s) for s in self._sets if s is not None)
 
-    def iter_valid(self) -> Iterator[CacheEntry[T]]:
-        for ways in self._sets:
-            if ways is None:
-                continue
-            for entry in ways:
-                if entry.valid:
-                    yield entry
-
-    def occupancy(self) -> float:
-        return len(self) / (self.num_sets * self.ways)
-
-    def stats(self) -> dict:
-        return {
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "fills": self.fills,
-            "evictions": self.evictions,
-        }
+    def items(self) -> Iterator[Tuple[int, T]]:
+        """Resident ``(block_addr, payload)`` pairs, set by set, each set
+        least recently used first."""
+        for s in self._sets:
+            if s is not None:
+                yield from s.items()

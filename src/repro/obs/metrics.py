@@ -159,8 +159,8 @@ class _PrvBlockGauge:
     def __call__(self) -> int:
         from repro.coherence.states import DirState
 
-        return sum(1 for sl in self.slices for entry in sl.llc.iter_valid()
-                   if entry.payload.state is DirState.PRV)
+        return sum(1 for sl in self.slices for _, line in sl.llc.items()
+                   if line.state is DirState.PRV)
 
     def __getstate__(self):
         return self.slices

@@ -228,9 +228,7 @@ def flush_machine_memory(machine: Machine) -> "MemoryImage":
         return block
 
     for sl in machine.slices:
-        for entry in sl.llc.iter_valid():
-            addr = sl.llc.addr_of(entry)
-            line = entry.payload
+        for addr, line in sl.llc.items():
             block_of(addr)[:] = line.data
             if line.state == DirState.PRV and sl.detector is not None:
                 sam_entry = sl.detector.sam.peek(addr)
@@ -238,10 +236,10 @@ def flush_machine_memory(machine: Machine) -> "MemoryImage":
                       if sam_entry is not None else [])
                 for core_id in line.prv_sharers:
                     l1 = machine.l1s[core_id]
-                    l1_entry = l1.cache.peek(addr)
-                    if l1_entry is None:
+                    l1_line = l1.cache.peek(addr)
+                    if l1_line is None:
                         continue
-                    data = l1_entry.payload.data
+                    data = l1_line.data
                     gran = sl.granularity
                     for granule, writer in enumerate(lw):
                         if writer == core_id:
@@ -249,9 +247,7 @@ def flush_machine_memory(machine: Machine) -> "MemoryImage":
                             block_of(addr)[start:start + gran] = \
                                 data[start:start + gran]
     for l1 in machine.l1s:
-        for entry in l1.cache.iter_valid():
-            addr = l1.cache.addr_of(entry)
-            line = entry.payload
+        for addr, line in l1.cache.items():
             if line.state in (L1State.M, L1State.E) and line.dirty:
                 block_of(addr)[:] = line.data
     result = MemoryImage(machine.memory)

@@ -70,8 +70,7 @@ class Harness:
         self.net.sent.clear()
 
     def line(self, block=BLOCK):
-        entry = self.dir.llc.peek(block)
-        return entry.payload if entry else None
+        return self.dir.llc.peek(block)
 
 
 class TestBaselinePaths:

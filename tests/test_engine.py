@@ -9,15 +9,18 @@ across processes, and a full-figure 100% cache-hit replay.
 
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import repro
 from repro.coherence.states import ProtocolMode
 from repro.harness import experiments as E
-from repro.harness.engine import CODE_VERSION, Engine, EngineError
+from repro.harness.engine import (CODE_VERSION, Engine, EngineError,
+                                  source_digest)
 from repro.harness.export import records_from_json, records_to_json
 from repro.harness.runner import RunRecord, RunSpec, execute_spec
 
@@ -426,23 +429,29 @@ class TestCliEngineFlags:
 
 
 class TestCacheCompatibility:
-    """CODE_VERSION bumps are deliberate: cached entries predating one are
-    invalidated (re-simulated), but the *results* they held are still
-    reproduced bit-for-bit by the new code."""
+    """Cached entries predating a CODE_VERSION change are invalidated
+    (re-simulated), but the *results* they held are still reproduced
+    bit-for-bit by the new code."""
 
     FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "data",
                                "engine_cache")
     FIXTURE_SPEC = RunSpec(tag="ww", mode=ProtocolMode.FSLITE, scale=0.5)
 
-    def test_code_version_bumped_for_pickled_sam_masks(self):
-        # "3" marked the observability cache format, "4" the event heap's
-        # (time, seq, fn, arg) entries, "5" SAM entries stored as per-core
-        # granule masks. "6" marks the merged L1/directory message
-        # handlers: warm-start snapshots pickle all of these (the handlers
-        # through the controllers' bound-method dispatch tables), so a
-        # snapshot cached by older code is rebuilt, never restored into
-        # the new classes.
-        assert CODE_VERSION == "6"
+    def test_code_version_tracks_package_source(self, tmp_path):
+        # The stamp is derived from the package source, so no edit can
+        # forget to invalidate cached results and warm-start snapshots.
+        package = pathlib.Path(repro.__file__).parent
+        assert CODE_VERSION == source_digest(package)
+        copy = tmp_path / "repro"
+        shutil.copytree(package, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert source_digest(copy) == CODE_VERSION
+        module = copy / "memsys" / "cache_array.py"
+        module.write_text(module.read_text() + "\n# edited\n")
+        edited = source_digest(copy)
+        assert edited != CODE_VERSION
+        module.rename(copy / "memsys" / "cache_array2.py")
+        assert source_digest(copy) not in (CODE_VERSION, edited)
 
     def test_spec_digest_unchanged_without_obs(self):
         # The obs field is only serialized when set, so every pre-existing

@@ -60,8 +60,7 @@ class Harness:
         self.net.sent.clear()
 
     def line(self, block):
-        entry = self.l1.cache.peek(block)
-        return entry.payload if entry else None
+        return self.l1.cache.peek(block)
 
 
 BLOCK = 0x1000
@@ -311,7 +310,7 @@ class TestFwdFromWriteBuffer:
         h.inject(MessageType.DATA_E, BLOCK, data=DATA)
         # Force an eviction path by invalidating through the public API:
         # simulate capacity eviction directly.
-        line = h.l1.cache.peek(BLOCK).payload
+        line = h.l1.cache.peek(BLOCK)
         h.l1.cache.invalidate(BLOCK)
         h.clear()
         h.l1._evict(BLOCK, line)
@@ -334,7 +333,7 @@ class TestFwdFromWriteBuffer:
         h = Harness()
         h.issue(store(BLOCK, 5))
         h.inject(MessageType.DATA_E, BLOCK, data=DATA)
-        line = h.l1.cache.peek(BLOCK).payload
+        line = h.l1.cache.peek(BLOCK)
         h.l1.cache.invalidate(BLOCK)
         h.l1._evict(BLOCK, line)
         h.clear()
@@ -364,7 +363,7 @@ def _clean_e_line(h):
 
 def _in_write_buffer(h):
     _m_line(h)
-    line = h.l1.cache.peek(BLOCK).payload
+    line = h.l1.cache.peek(BLOCK)
     h.l1.cache.invalidate(BLOCK)
     h.l1._evict(BLOCK, line)
 

@@ -240,7 +240,7 @@ class TestEpisodeTracker:
             return prog()
         result, machine, tracker, _ = run_observed(
             [writer(t) for t in range(4)])
-        line = machine.home_slice(LINE).llc.peek(LINE).payload
+        line = machine.home_slice(LINE).llc.peek(LINE)
         assert line.state == DirState.PRV  # episode survives the run
         ep = [e for e in tracker.episodes if e.block_addr == LINE][0]
         assert ep.termination_cause is None

@@ -28,9 +28,9 @@ class TestSingleCore:
             v = yield load(0x1000)
             assert v == 0
         result, machine = run_programs([prog()])
-        entry = machine.l1s[0].cache.peek(0x1000)
-        assert entry.payload.state == L1State.E
-        line = machine.home_slice(0x1000).llc.peek(0x1000).payload
+        line = machine.l1s[0].cache.peek(0x1000)
+        assert line.state == L1State.E
+        line = machine.home_slice(0x1000).llc.peek(0x1000)
         assert line.state == DirState.EM
         assert line.owner == 0
 
@@ -39,9 +39,9 @@ class TestSingleCore:
             yield load(0x1000)
             yield store(0x1000, 7)
         result, machine = run_programs([prog()])
-        entry = machine.l1s[0].cache.peek(0x1000)
-        assert entry.payload.state == L1State.M
-        assert entry.payload.dirty
+        line = machine.l1s[0].cache.peek(0x1000)
+        assert line.state == L1State.M
+        assert line.dirty
         # No extra coherence request for the silent upgrade.
         assert machine.l1s[0].stats[CORE_MISSES] == 1
 
@@ -97,7 +97,7 @@ class TestTwoCoreSharing:
                 assert v == 0
                 yield compute(3)
         result, machine = run_programs([reader(), reader()])
-        line = machine.home_slice(0x1000).llc.peek(0x1000).payload
+        line = machine.home_slice(0x1000).llc.peek(0x1000)
         assert line.state == DirState.S
         assert line.sharers == {0, 1}
 
@@ -111,7 +111,7 @@ class TestTwoCoreSharing:
                 log.append(val)
             return prog()
         result, machine = run_programs([writer(1, 0), writer(2, 500)])
-        line = machine.home_slice(0x1000).llc.peek(0x1000).payload
+        line = machine.home_slice(0x1000).llc.peek(0x1000)
         assert line.state == DirState.EM
         assert line.owner == 1
         img = memory_image(machine)

@@ -50,7 +50,7 @@ class TestDetection:
             [slot_writer(4 * t, 200) for t in range(4)],
             mode=ProtocolMode.FSDETECT)
         assert result.stats.privatizations == 0
-        line = machine.home_slice(LINE).llc.peek(LINE).payload
+        line = machine.home_slice(LINE).llc.peek(LINE)
         assert line.state != DirState.PRV
 
     def test_detection_negligible_overhead(self):
@@ -108,7 +108,7 @@ class TestRepair:
         result, machine = run_programs(
             [forever_writer(8 * t) for t in range(4)],
             mode=ProtocolMode.FSLITE)
-        line = machine.home_slice(LINE).llc.peek(LINE).payload
+        line = machine.home_slice(LINE).llc.peek(LINE)
         assert line.state == DirState.PRV
         assert line.prv_sharers <= {0, 1, 2, 3}
 
@@ -289,7 +289,7 @@ class TestGranularityModes:
         result, machine = run_programs([byte_writer(0), byte_writer(1)],
                                        mode=ProtocolMode.FSLITE, config=cfg)
         # Bytes 0 and 1 share granule 0: never privatizable at this grain.
-        line = machine.home_slice(LINE).llc.peek(LINE).payload
+        line = machine.home_slice(LINE).llc.peek(LINE)
         assert line.state != DirState.PRV
 
 
