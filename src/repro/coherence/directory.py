@@ -62,23 +62,64 @@ from repro.interconnect.network import Network
 from repro.memsys.cache_array import CacheArray
 from repro.memsys.main_memory import MainMemory
 
+# Hot-path aliases (see ``l1_controller``): on Python 3.11 ``DirState.S``
+# and friends are ``EnumType.__getattr__`` calls, so the per-message
+# methods below read module globals instead.
+_DIR_I = DirState.I
+_DIR_S = DirState.S
+_DIR_EM = DirState.EM
+_DIR_PRV = DirState.PRV
+_BUSY_FETCH = BusyKind.FETCH
+_BUSY_FWD = BusyKind.FWD
+_BUSY_INV_COLLECT = BusyKind.INV_COLLECT
+_BUSY_PRV_INIT = BusyKind.PRV_INIT
+_BUSY_PRV_TERM = BusyKind.PRV_TERM
+_BUSY_RECALL = BusyKind.RECALL
+_TERM_CONFLICT = TerminationCause.CONFLICT
+_TERM_LLC_EVICTION = TerminationCause.LLC_EVICTION
+_TERM_SAM_EVICTION = TerminationCause.SAM_EVICTION
+_TERM_EXTERNAL_SOCKET = TerminationCause.EXTERNAL_SOCKET
+_TERM_INIT_ABORT = TerminationCause.INIT_ABORT
+_FLAG_FALSE_SHARING = DetectionAction.FLAG_FALSE_SHARING
+_GET = MessageType.GET
+_GETX = MessageType.GETX
+_UPGRADE = MessageType.UPGRADE
+_GETCHK = MessageType.GETCHK
+_GETXCHK = MessageType.GETXCHK
+_DATA = MessageType.DATA
+_DATA_E = MessageType.DATA_E
+_DATA_PRV = MessageType.DATA_PRV
+_FWD_GET = MessageType.FWD_GET
+_FWD_GETX = MessageType.FWD_GETX
+_INV = MessageType.INV
+_RECALL = MessageType.RECALL
+_UPG_ACK = MessageType.UPG_ACK
+_UPG_ACK_PRV = MessageType.UPG_ACK_PRV
+_ACK_PRV = MessageType.ACK_PRV
+_TR_PRV = MessageType.TR_PRV
+_INV_PRV = MessageType.INV_PRV
+_WB_ACK = MessageType.WB_ACK
+_DEMAND = (_GET, _GETX)
+_DEMAND_OR_UPGRADE = (_GET, _GETX, _UPGRADE)
+_WRITE_REQUESTS = (_GETX, _UPGRADE, _GETXCHK)
+
 
 @dataclass
 class LlcLine:
     data: bytearray
     dirty: bool = False
-    state: DirState = DirState.I
+    state: DirState = _DIR_I
     owner: Optional[int] = None
     sharers: Set[int] = field(default_factory=set)
     prv_sharers: Set[int] = field(default_factory=set)
 
     @property
     def holders(self) -> Set[int]:
-        if self.state == DirState.EM:
+        if self.state is _DIR_EM:
             return {self.owner}
-        if self.state == DirState.S:
+        if self.state is _DIR_S:
             return set(self.sharers)
-        if self.state == DirState.PRV:
+        if self.state is _DIR_PRV:
             return set(self.prv_sharers)
         return set()
 
@@ -164,6 +205,13 @@ class DirectorySlice:
                 config.protocol, self.block_size, config.num_cores,
                 index_divisor=num_slices, index_offset=slice_id)
             self.detector.now = _QueueNow(queue)
+        # Hot-path bindings read per message instead of the mode property
+        # and the config chain.
+        self._repairs = mode.repairs
+        self._tag_latency = config.llc.tag_latency
+        self._data_latency = config.llc.data_latency
+        self._check_latency = config.protocol.conflict_check_latency
+        self._memory_latency = config.memory_latency
         self._busy: Dict[int, BusyCtx] = {}
         self._pending: Dict[int, Deque[Message]] = {}
         #: Episode observer (repro.obs.episodes.EpisodeTracker) or None.
@@ -205,10 +253,8 @@ class DirectorySlice:
 
     def _send(self, mtype: MessageType, dst: int, block: int,
               payload: Optional[dict] = None, delay: int = 0) -> None:
-        self.network.send(Message(
-            mtype, src=self.node_id, dst=dst, block_addr=block,
-            payload=payload or {}),
-            extra_delay=self.config.llc.tag_latency + delay)
+        self.network.send(Message(mtype, self.node_id, dst, block, payload),
+                          self._tag_latency + delay)
 
     def _data_payload(self, line: LlcLine, **extra) -> dict:
         self.stats[SLICE_LLC_DATA_ACCESSES] += 1
@@ -231,26 +277,23 @@ class DirectorySlice:
         self._busy.pop(block, None)
         if rerun is not None:
             self._pending.setdefault(block, deque()).appendleft(rerun)
-        self.queue.schedule(0, partial(self._drain, block))
+        self.queue.post(0, self._drain, block)
         if ctx.then is not None:
             ctx.then()
 
     def _drain(self, block: int) -> None:
         queue = self._pending.get(block)
-        while queue and not self._is_blocked(block):
+        while queue and block not in self._busy:
             self._process_request(queue.popleft())
         if queue is not None and not queue:
             self._pending.pop(block, None)
 
     # ------------------------------------------------------ message entry
 
-    _REQUEST_TYPES = (
-        MessageType.GET, MessageType.GETX, MessageType.UPGRADE,
-        MessageType.GETCHK, MessageType.GETXCHK,
-    )
+    _REQUEST_TYPES = (_GET, _GETX, _UPGRADE, _GETCHK, _GETXCHK)
 
     def handle_message(self, msg: Message) -> None:
-        handler = self._dispatch[msg.mtype.value]
+        handler = self._dispatch[msg.mtype._value_]
         if handler is None:
             raise ProtocolError(f"directory cannot handle {msg}")
         handler(msg)
@@ -265,7 +308,7 @@ class DirectorySlice:
 
     def _process_request(self, msg: Message) -> None:
         block = msg.block_addr
-        if self._is_blocked(block):
+        if block in self._busy:
             self._enqueue(msg)
             return
         line = self.llc.lookup(block)
@@ -273,33 +316,31 @@ class DirectorySlice:
             self._start_fetch(msg)
             return
         self.stats[SLICE_REQUESTS] += 1
-        demand = msg.mtype in (MessageType.GET, MessageType.GETX,
-                               MessageType.UPGRADE)
-        if (self.detector is not None and demand
-                and line.state != DirState.PRV):
+        if (self.detector is not None and msg.mtype in _DEMAND_OR_UPGRADE
+                and line.state is not _DIR_PRV):
             self.detector.count_fetch(block)
             action = self.detector.classify(block)
-            if action == DetectionAction.FLAG_FALSE_SHARING:
+            if action is _FLAG_FALSE_SHARING:
                 self.detector.report(block, self.queue.now,
-                                     privatized=self.mode.repairs)
-                if self.mode.repairs:
+                                     privatized=self._repairs)
+                if self._repairs:
                     self._start_prv_init(msg, line)
                     return
                 self.detector.apply_reset(block)
         # CHKs that arrive after the privatized episode ended behave as
         # plain requests (Section V-C, conflict-detection epilogue).
         mtype = msg.mtype
-        if line.state != DirState.PRV:
-            if mtype == MessageType.GETCHK:
-                mtype = MessageType.GET
-            elif mtype == MessageType.GETXCHK:
-                mtype = MessageType.GETX
-        if mtype in (MessageType.GET, MessageType.GETX):
-            self._do_demand(msg, line, is_write=mtype == MessageType.GETX)
-        elif mtype == MessageType.UPGRADE:
+        if line.state is not _DIR_PRV:
+            if mtype is _GETCHK:
+                mtype = _GET
+            elif mtype is _GETXCHK:
+                mtype = _GETX
+        if mtype in _DEMAND:
+            self._do_demand(msg, line, is_write=mtype is _GETX)
+        elif mtype is _UPGRADE:
             self._do_upgrade(msg, line)
         else:
-            self._do_chk(msg, line, is_write=mtype == MessageType.GETXCHK)
+            self._do_chk(msg, line, is_write=mtype is _GETXCHK)
 
     # -- baseline MESI ---------------------------------------------------------
 
@@ -307,55 +348,54 @@ class DirectorySlice:
         """Serve a GET (``is_write`` False) or a GETX."""
         block, core = msg.block_addr, msg.src
         state = line.state
-        if state == DirState.S and is_write:
+        if state is _DIR_S and is_write:
             # A GETX from a listed sharer means the core silently evicted
             # its copy and the directory info is stale; drop it and serve.
             line.sharers.discard(core)
             self._invalidate_sharers(msg, line, upgrade=False)
-        elif state == DirState.S:
+        elif state is _DIR_S:
             line.sharers.add(core)
-            self._send(MessageType.DATA, core, block,
+            self._send(_DATA, core, block,
                        self._data_payload(line),
-                       delay=self.config.llc.data_latency)
-        elif state == DirState.EM and line.owner != core:
-            self._intervene(msg, line, MessageType.FWD_GETX if is_write
-                            else MessageType.FWD_GET)
-        elif state == DirState.PRV:
+                       delay=self._data_latency)
+        elif state is _DIR_EM and line.owner != core:
+            self._intervene(msg, line, _FWD_GETX if is_write else _FWD_GET)
+        elif state is _DIR_PRV:
             self._prv_join(msg, line, is_write)
         else:
             # I, or the listed owner re-requesting (idempotent regrant).
-            if state == DirState.EM:
+            if state is _DIR_EM:
                 self.stats[SLICE_REGRANTS] += 1
-            line.state = DirState.EM
+            line.state = _DIR_EM
             line.owner = core
-            self._send(MessageType.DATA_E, core, block,
+            self._send(_DATA_E, core, block,
                        self._data_payload(line),
-                       delay=self.config.llc.data_latency)
+                       delay=self._data_latency)
 
     def _do_upgrade(self, msg: Message, line: LlcLine) -> None:
         block, core = msg.block_addr, msg.src
-        if line.state == DirState.S and core in line.sharers:
+        if line.state is _DIR_S and core in line.sharers:
             others = line.sharers - {core}
             if not others:
-                line.state = DirState.EM
+                line.state = _DIR_EM
                 line.owner = core
                 line.sharers.clear()
-                self._send(MessageType.UPG_ACK, core, block, {})
+                self._send(_UPG_ACK, core, block, {})
                 return
             self._invalidate_sharers(msg, line, upgrade=True)
             return
-        if line.state == DirState.PRV:
+        if line.state is _DIR_PRV:
             self._do_chk(msg, line, is_write=True)
             return
-        if line.state == DirState.EM and line.owner == core:
+        if line.state is _DIR_EM and line.owner == core:
             self.stats[SLICE_REGRANTS] += 1
-            self._send(MessageType.UPG_ACK, core, block, {})
+            self._send(_UPG_ACK, core, block, {})
             return
         # The requestor was invalidated while its upgrade was in flight:
         # convert to a GetX (gem5 MESI does the same).
         self.stats[SLICE_UPGRADES_CONVERTED] += 1
-        converted = Message(MessageType.GETX, src=msg.src, dst=msg.dst,
-                            block_addr=block, payload=dict(msg.payload))
+        converted = Message(_GETX, msg.src, msg.dst, block,
+                            dict(msg.payload))
         self._do_demand(converted, line, is_write=True)
 
     def _req_md_for(self, block: int) -> bool:
@@ -370,7 +410,7 @@ class DirectorySlice:
         if self.detector is not None:
             self.detector.count_invalidations(block, 1)
         self.stats[SLICE_INTERVENTIONS_SENT] += 1
-        ctx = BusyCtx(kind=BusyKind.FWD, block=block, request=msg,
+        ctx = BusyCtx(kind=_BUSY_FWD, block=block, request=msg,
                       owner=line.owner, requestor=msg.src, req_md=req_md)
         self._busy[block] = ctx
         self._send(fwd, line.owner, block,
@@ -384,51 +424,49 @@ class DirectorySlice:
         if self.detector is not None:
             self.detector.count_invalidations(block, len(targets))
         self.stats[SLICE_INVALIDATIONS_SENT] += len(targets)
-        ctx = BusyCtx(kind=BusyKind.INV_COLLECT, block=block, request=msg,
+        ctx = BusyCtx(kind=_BUSY_INV_COLLECT, block=block, request=msg,
                       waiting=set(targets), requestor=core, req_md=req_md,
                       upgrade=upgrade)
         self._busy[block] = ctx
         for sharer in targets:
-            self._send(MessageType.INV, sharer, block,
+            self._send(_INV, sharer, block,
                        {"requestor": core, "req_md": req_md})
         if not targets:
             self._finish_inv_collect(ctx)
 
     def _finish_inv_collect(self, ctx: BusyCtx) -> None:
         line = self._line(ctx.block)
-        line.state = DirState.EM
+        line.state = _DIR_EM
         line.owner = ctx.requestor
         line.sharers.clear()
         if ctx.upgrade:
-            self._send(MessageType.UPG_ACK, ctx.requestor, ctx.block,
+            self._send(_UPG_ACK, ctx.requestor, ctx.block,
                        {"req_md": ctx.req_md})
         else:
-            self._send(MessageType.DATA_E, ctx.requestor, ctx.block,
+            self._send(_DATA_E, ctx.requestor, ctx.block,
                        self._data_payload(line, req_md=ctx.req_md),
-                       delay=self.config.llc.data_latency)
+                       delay=self._data_latency)
         self._release_busy(ctx)
 
     def _finish_fwd(self, ctx: BusyCtx, owner_kept_copy: bool,
                     dir_serves_data: bool) -> None:
         line = self._line(ctx.block)
-        was_getx = ctx.request.mtype in (MessageType.GETX,
-                                         MessageType.UPGRADE,
-                                         MessageType.GETXCHK)
+        was_getx = ctx.request.mtype in _WRITE_REQUESTS
         if was_getx:
-            line.state = DirState.EM
+            line.state = _DIR_EM
             line.owner = ctx.requestor
             line.sharers.clear()
         else:
-            line.state = DirState.S
+            line.state = _DIR_S
             line.owner = None
             line.sharers = {ctx.requestor}
             if owner_kept_copy:
                 line.sharers.add(ctx.owner)
         if dir_serves_data:
-            mtype = MessageType.DATA_E if was_getx else MessageType.DATA
+            mtype = _DATA_E if was_getx else _DATA
             self._send(mtype, ctx.requestor, ctx.block,
                        self._data_payload(line, req_md=ctx.req_md),
-                       delay=self.config.llc.data_latency)
+                       delay=self._data_latency)
         self._release_busy(ctx)
 
     # -- FSLite: privatization ---------------------------------------------------
@@ -439,7 +477,7 @@ class DirectorySlice:
         self.stats[SLICE_PRIVATIZATIONS] += 1
         if self.obs is not None:
             self.obs.prv_init(block, msg.src, set(holders), self.queue.now)
-        ctx = BusyCtx(kind=BusyKind.PRV_INIT, block=block, request=msg,
+        ctx = BusyCtx(kind=_BUSY_PRV_INIT, block=block, request=msg,
                       waiting=set(holders), prospective=set(holders),
                       requestor=msg.src)
         self._busy[block] = ctx
@@ -447,7 +485,7 @@ class DirectorySlice:
         if self.detector is not None:
             self.detector.meta_for(block).expect_md(holders)
         for core in holders:
-            self._send(MessageType.TR_PRV, core, block, {"req_md": True})
+            self._send(_TR_PRV, core, block, {"req_md": True})
         if not holders:
             self._finish_prv_init(ctx)
 
@@ -462,14 +500,14 @@ class DirectorySlice:
 
     def _handle_sam_eviction(self, block: int, entry) -> None:
         line = self.llc.peek(block)
-        if line is None or line.state != DirState.PRV:
+        if line is None or line.state is not _DIR_PRV:
             return
         if self._is_blocked(block):
             # A context is already resolving this block; losing detection
             # metadata for a non-PRV transition is harmless.
             return
         self._start_termination(
-            block, TerminationCause.SAM_EVICTION,
+            block, _TERM_SAM_EVICTION,
             lw_snapshot=entry.last_writer_map() if entry is not None else None)
 
     def _finish_prv_init(self, ctx: BusyCtx) -> None:
@@ -482,7 +520,7 @@ class DirectorySlice:
             conflict = True
         else:
             gmask = self._gmask(msg.payload.get("touched_mask", 0))
-            is_write = msg.mtype in (MessageType.GETX, MessageType.UPGRADE)
+            is_write = msg.mtype is _GETX or msg.mtype is _UPGRADE
             if sam_entry.ts or ctx.conflict:
                 conflict = True
             elif is_write:
@@ -495,25 +533,25 @@ class DirectorySlice:
                 self.obs.prv_abort(block, self.queue.now)
             self.detector.record_conflict_abort(block)
             self._busy.pop(block, None)
-            self._start_termination(block, TerminationCause.INIT_ABORT,
+            self._start_termination(block, _TERM_INIT_ABORT,
                                     rerun=msg, prv_set=ctx.prospective)
             return
         # Privatize: fresh SAM state seeded with the trigger's bytes.
         sam_entry.clear()
         self._record_access(sam_entry, msg, msg.src, gmask, is_write)
-        line.state = DirState.PRV
+        line.state = _DIR_PRV
         line.owner = None
         line.sharers.clear()
         line.prv_sharers = set(ctx.prospective) | {msg.src}
         if self.obs is not None:
             self.obs.prv_established(block, set(line.prv_sharers),
                                      self.queue.now)
-        if msg.mtype == MessageType.UPGRADE:
-            self._send(MessageType.UPG_ACK_PRV, msg.src, block, {})
+        if msg.mtype is _UPGRADE:
+            self._send(_UPG_ACK_PRV, msg.src, block, {})
         else:
-            self._send(MessageType.DATA_PRV, msg.src, block,
+            self._send(_DATA_PRV, msg.src, block,
                        self._data_payload(line),
-                       delay=self.config.llc.data_latency)
+                       delay=self._data_latency)
         self._release_busy(ctx)
 
     @staticmethod
@@ -541,7 +579,7 @@ class DirectorySlice:
             self._record_access(sam_entry, msg, core, gmask, is_write)
             return True
         self.detector.record_conflict_abort(block)
-        self._start_termination(block, TerminationCause.CONFLICT, rerun=msg)
+        self._start_termination(block, _TERM_CONFLICT, rerun=msg)
         return False
 
     def _prv_join(self, msg: Message, line: LlcLine, is_write: bool) -> None:
@@ -553,10 +591,9 @@ class DirectorySlice:
         self.stats[SLICE_PRV_JOINS] += 1
         if self.obs is not None:
             self.obs.prv_join(block, core, is_write, self.queue.now)
-        self._send(MessageType.DATA_PRV, core, block,
+        self._send(_DATA_PRV, core, block,
                    self._data_payload(line),
-                   delay=self.config.llc.data_latency
-                   + self.config.protocol.conflict_check_latency)
+                   delay=self._data_latency + self._check_latency)
 
     def _do_chk(self, msg: Message, line: LlcLine, is_write: bool) -> None:
         """First-touch conflict check on a privatized block (Fig. 8)."""
@@ -568,10 +605,9 @@ class DirectorySlice:
             self.stats[SLICE_CHK_FAIL] += 1
             return
         self.stats[SLICE_CHK_PASS] += 1
-        ack = (MessageType.UPG_ACK_PRV if msg.mtype == MessageType.UPGRADE
-               else MessageType.ACK_PRV)
+        ack = _UPG_ACK_PRV if msg.mtype is _UPGRADE else _ACK_PRV
         self._send(ack, core, block,
-                   delay=self.config.protocol.conflict_check_latency)
+                   delay=self._check_latency)
 
     # -- FSLite: termination -------------------------------------------------------
 
@@ -592,16 +628,16 @@ class DirectorySlice:
             sam_entry = self.detector.sam.peek(block)
             lw_snapshot = (sam_entry.last_writer_map() if sam_entry is not None
                            else [None] * (self.block_size // self.granularity))
-        self.stats[term_key(cause.value)] += 1
+        self.stats[term_key(cause._value_)] += 1
         if self.obs is not None:
-            self.obs.term_start(block, cause.value, set(sharers),
+            self.obs.term_start(block, cause._value_, set(sharers),
                                 lw_snapshot, self.queue.now)
-        ctx = BusyCtx(kind=BusyKind.PRV_TERM, block=block, request=rerun,
+        ctx = BusyCtx(kind=_BUSY_PRV_TERM, block=block, request=rerun,
                       waiting=set(sharers), lw_snapshot=lw_snapshot,
                       cause=cause, evict_data=evict_data, then=then)
         self._busy[block] = ctx
         for core in sharers:
-            self._send(MessageType.INV_PRV, core, block, {})
+            self._send(_INV_PRV, core, block, {})
         if not sharers:
             self._finish_termination(ctx)
 
@@ -624,7 +660,7 @@ class DirectorySlice:
             self.stats[SLICE_MEMORY_WRITEBACKS] += 1
         else:
             line = self._line(block)
-            line.state = DirState.I
+            line.state = _DIR_I
             line.owner = None
             line.sharers.clear()
             line.prv_sharers.clear()
@@ -637,21 +673,20 @@ class DirectorySlice:
         """Injection hook: an access forwarded from another socket must
         terminate the privatized episode first (Section V-C)."""
         line = self.llc.peek(block)
-        if line is None or line.state != DirState.PRV:
+        if line is None or line.state is not _DIR_PRV:
             return
         if self._is_blocked(block):
             return
-        self._start_termination(block, TerminationCause.EXTERNAL_SOCKET)
+        self._start_termination(block, _TERM_EXTERNAL_SOCKET)
 
     # ------------------------------------------------------- LLC fills
 
     def _start_fetch(self, msg: Message) -> None:
         block = msg.block_addr
-        ctx = BusyCtx(kind=BusyKind.FETCH, block=block, request=msg)
+        ctx = BusyCtx(kind=_BUSY_FETCH, block=block, request=msg)
         self._busy[block] = ctx
         self.stats[SLICE_MEMORY_FETCHES] += 1
-        self.queue.schedule(self.config.memory_latency,
-                            partial(self._fetch_done, ctx))
+        self.queue.post(self._memory_latency, self._fetch_done, ctx)
 
     def _fetch_done(self, ctx: BusyCtx) -> None:
         self._fetch_attempt(ctx, self.memory.read_block(ctx.block))
@@ -674,11 +709,11 @@ class DirectorySlice:
         """Evict ``block`` through the path its state needs (plain
         eviction, recall, or PRV termination-with-merge); ``then`` runs
         once it has left the LLC."""
-        if line.state == DirState.I:
+        if line.state is _DIR_I:
             self._evict_llc_block(block, line)
             if then is not None:
                 then()
-        elif line.state == DirState.PRV:
+        elif line.state is _DIR_PRV:
             evict_data = bytearray(line.data)
             sam_entry = (self.detector.sam.peek(block)
                          if self.detector else None)
@@ -688,7 +723,7 @@ class DirectorySlice:
             if self.detector is not None:
                 self.detector.drop_meta(block)
             self._start_termination(
-                block, TerminationCause.LLC_EVICTION,
+                block, _TERM_LLC_EVICTION,
                 prv_set=line.prv_sharers, lw_snapshot=snapshot,
                 evict_data=evict_data, then=then)
         else:
@@ -707,21 +742,21 @@ class DirectorySlice:
         """Invalidate private copies so an LLC victim can be evicted."""
         self.stats[SLICE_RECALLS] += 1
         holders = line.holders
-        ctx = BusyCtx(kind=BusyKind.RECALL, block=block, waiting=set(holders),
+        ctx = BusyCtx(kind=_BUSY_RECALL, block=block, waiting=set(holders),
                       then=then)
         self._busy[block] = ctx
-        if line.state == DirState.EM:
-            self._send(MessageType.RECALL, line.owner, block, {})
+        if line.state is _DIR_EM:
+            self._send(_RECALL, line.owner, block, {})
         else:
             for sharer in holders:
-                self._send(MessageType.INV, sharer, block,
+                self._send(_INV, sharer, block,
                            {"requestor": None, "recall": True})
         if not holders:
             self._finish_recall(ctx)
 
     def _finish_recall(self, ctx: BusyCtx) -> None:
         line = self._line(ctx.block)
-        line.state = DirState.I
+        line.state = _DIR_I
         line.owner = None
         line.sharers.clear()
         self._evict_llc_block(ctx.block, line)
@@ -735,19 +770,20 @@ class DirectorySlice:
 
     # ------------------------------------------------------ response path
 
-    #: Finisher of each busy kind that collects responses in ``waiting``.
+    #: Finisher of each busy kind that collects responses in ``waiting``,
+    #: keyed by ``BusyKind._value_`` (an int key skips ``Enum.__hash__``).
     _FINISHERS = {
-        BusyKind.INV_COLLECT: _finish_inv_collect,
-        BusyKind.RECALL: _finish_recall,
-        BusyKind.PRV_INIT: _finish_prv_init,
-        BusyKind.PRV_TERM: _finish_termination,
+        _BUSY_INV_COLLECT._value_: _finish_inv_collect,
+        _BUSY_RECALL._value_: _finish_recall,
+        _BUSY_PRV_INIT._value_: _finish_prv_init,
+        _BUSY_PRV_TERM._value_: _finish_termination,
     }
 
     def _responded(self, ctx: BusyCtx, core: int) -> None:
         """``core`` answered ``ctx``; the last awaited answer finishes it."""
         ctx.waiting.discard(core)
         if not ctx.waiting:
-            self._FINISHERS[ctx.kind](self, ctx)
+            self._FINISHERS[ctx.kind._value_](self, ctx)
 
     def _absorb(self, block: int, data: bytes) -> None:
         """The LLC copy takes a private copy's written-back bytes."""
@@ -778,29 +814,29 @@ class DirectorySlice:
         ctx = self._busy.get(block)
         if ctx is not None:
             kind = ctx.kind
-            if kind == BusyKind.PRV_TERM:
+            if kind is _BUSY_PRV_TERM:
                 if core in ctx.waiting:
                     self._term_merge(ctx, core, data)
-            elif (kind in (BusyKind.PRV_INIT, BusyKind.RECALL)
-                  or kind == BusyKind.FWD and core == ctx.owner):
+            elif (kind in (_BUSY_PRV_INIT, _BUSY_RECALL)
+                  or kind is _BUSY_FWD and core == ctx.owner):
                 self._absorb(block, data)
                 ctx.prospective.discard(core)  # an evicted holder won't join
             else:
                 raise ProtocolError(f"PUTM during {kind} for {block:#x}")
-            self._send(MessageType.WB_ACK, core, block)
+            self._send(_WB_ACK, core, block)
             # The FWD stays busy: the wb-buffer response completes it. For
             # a PRV_INIT the evicting holder's writeback doubles as its
             # TR_PRV response (see putm_in_flight).
-            if kind != BusyKind.FWD:
+            if kind is not _BUSY_FWD:
                 self._responded(ctx, core)
             return
         line = self.llc.peek(block)
-        if line is not None and line.state == DirState.EM \
+        if line is not None and line.state is _DIR_EM \
                 and line.owner == core:
             self._absorb(block, data)
-            line.state = DirState.I
+            line.state = _DIR_I
             line.owner = None
-        elif line is not None and line.state == DirState.PRV \
+        elif line is not None and line.state is _DIR_PRV \
                 and core in line.prv_sharers:
             self._depart_prv(line, block, core, data)
             line.dirty = True
@@ -808,13 +844,12 @@ class DirectorySlice:
             # Not the owner any more, or a terminating eviction already
             # wrote the block to memory: stale PUTM.
             self.stats[SLICE_STALE_PUTM] += 1
-        self._send(MessageType.WB_ACK, core, block)
+        self._send(_WB_ACK, core, block)
 
     def _on_inv_ack(self, msg: Message) -> None:
         ctx = self._busy.get(msg.block_addr)
         # Any other ack is stale (a recall raced with something else).
-        if ctx is not None and ctx.kind in (BusyKind.INV_COLLECT,
-                                            BusyKind.RECALL):
+        if ctx is not None and ctx.kind in (_BUSY_INV_COLLECT, _BUSY_RECALL):
             self._responded(ctx, msg.src)
 
     def _on_data_wb(self, msg: Message) -> None:
@@ -825,17 +860,17 @@ class DirectorySlice:
             # a stale downgrade; accept the data.
             if block in self.llc:
                 self._absorb(block, data)
-        elif ctx.kind == BusyKind.FWD:
+        elif ctx.kind is _BUSY_FWD:
             self._absorb(block, data)
             owner_kept = not msg.payload.get("from_wb") and not msg.payload.get("xfer")
             self._finish_fwd(ctx, owner_kept_copy=owner_kept,
                              dir_serves_data=False)
-        elif ctx.kind == BusyKind.PRV_INIT:
+        elif ctx.kind is _BUSY_PRV_INIT:
             self._absorb(block, data)  # the metadata response answers
-        elif ctx.kind == BusyKind.RECALL:
+        elif ctx.kind is _BUSY_RECALL:
             self._absorb(block, data)
             self._responded(ctx, msg.src)
-        elif ctx.kind == BusyKind.PRV_TERM:
+        elif ctx.kind is _BUSY_PRV_TERM:
             self._term_merge(ctx, msg.src, data)
             self._responded(ctx, msg.src)
         else:
@@ -843,7 +878,7 @@ class DirectorySlice:
 
     def _on_xfer_ack(self, msg: Message) -> None:
         ctx = self._busy.get(msg.block_addr)
-        if ctx is None or ctx.kind != BusyKind.FWD:
+        if ctx is None or ctx.kind is not _BUSY_FWD:
             raise ProtocolError(f"stray XFER_ACK for {msg.block_addr:#x}")
         self._finish_fwd(ctx, owner_kept_copy=not msg.payload.get("from_wb"),
                          dir_serves_data=False)
@@ -852,10 +887,10 @@ class DirectorySlice:
         ctx = self._busy.get(msg.block_addr)
         if ctx is None:
             return
-        if ctx.kind == BusyKind.FWD:
+        if ctx.kind is _BUSY_FWD:
             # The owner silently dropped its clean copy: serve from the LLC.
             self._finish_fwd(ctx, owner_kept_copy=False, dir_serves_data=True)
-        elif ctx.kind == BusyKind.RECALL:
+        elif ctx.kind is _BUSY_RECALL:
             self._responded(ctx, msg.src)
 
     # -- metadata ------------------------------------------------------------------
@@ -867,17 +902,17 @@ class DirectorySlice:
         meta = self.detector.meta_for(block)
         meta.md_arrived(core)
         ctx = self._busy.get(block)
-        if ctx is not None and ctx.kind == BusyKind.PRV_TERM:
+        if ctx is not None and ctx.kind is _BUSY_PRV_TERM:
             return  # episode ending; metadata is obsolete
         line = self.llc.peek(block)
-        if line is not None and line.state == DirState.PRV:
+        if line is not None and line.state is _DIR_PRV:
             return  # SAM already tracks PRV accesses via CHKs
         self.stats[SLICE_SAM_ACCESSES] += 1
         conflict, evicted_block, evicted_entry = self.detector.ingest_md(
             block, core, msg.payload["read_bits"], msg.payload["write_bits"])
         if evicted_block is not None:
             self._handle_sam_eviction(evicted_block, evicted_entry)
-        if ctx is not None and ctx.kind == BusyKind.PRV_INIT:
+        if ctx is not None and ctx.kind is _BUSY_PRV_INIT:
             if conflict:
                 ctx.conflict = True
             # Only a *solicited* response answers the TR_PRV; an unsolicited
@@ -895,7 +930,7 @@ class DirectorySlice:
         block, core = msg.block_addr, msg.src
         self.detector.meta_for(block).md_arrived(core)
         ctx = self._busy.get(block)
-        if ctx is not None and ctx.kind == BusyKind.PRV_INIT:
+        if ctx is not None and ctx.kind is _BUSY_PRV_INIT:
             ctx.prospective.discard(core)
             # With a PUTM in flight, hold the init open until it lands.
             if not msg.payload.get("putm_in_flight"):
@@ -906,7 +941,7 @@ class DirectorySlice:
     def _on_prv_wb(self, msg: Message) -> None:
         block, core = msg.block_addr, msg.src
         ctx = self._busy.get(block)
-        if ctx is not None and ctx.kind == BusyKind.PRV_TERM:
+        if ctx is not None and ctx.kind is _BUSY_PRV_TERM:
             if core in ctx.waiting:
                 self._term_merge(ctx, core, msg.payload["data"])
                 self._responded(ctx, core)
@@ -914,12 +949,12 @@ class DirectorySlice:
         # A termination that no longer exists (the core's response crossed
         # the finish): merge against live SAM if still PRV.
         line = self.llc.peek(block)
-        if line is not None and line.state == DirState.PRV:
+        if line is not None and line.state is _DIR_PRV:
             self._depart_prv(line, block, core, msg.payload["data"])
 
     def _on_ctrl_wb(self, msg: Message) -> None:
         ctx = self._busy.get(msg.block_addr)
-        if ctx is not None and ctx.kind == BusyKind.PRV_TERM:
+        if ctx is not None and ctx.kind is _BUSY_PRV_TERM:
             self._responded(ctx, msg.src)
 
     # ----------------------------------------------------------------- misc
@@ -958,8 +993,8 @@ class DirectorySlice:
         if self.detector.sam.peek(block) is None:
             return False
         line = self.llc.peek(block)
-        if line is not None and line.state == DirState.PRV:
-            self._start_termination(block, TerminationCause.SAM_EVICTION)
+        if line is not None and line.state is _DIR_PRV:
+            self._start_termination(block, _TERM_SAM_EVICTION)
         else:
             self.detector.sam.invalidate(block)
         return True

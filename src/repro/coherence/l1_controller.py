@@ -17,10 +17,10 @@ line in the array is always in a stable state.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.addr import bytes_touched
 from repro.common.config import SystemConfig
 from repro.common.errors import ProtocolError
 from repro.common.statkeys import (
@@ -57,15 +57,47 @@ from repro.memsys.write_buffer import WriteBuffer
 
 CompletionCallback = Callable[[int], None]
 
-# Hot-path aliases: module globals, one dict probe each instead of a global
-# probe plus an attribute load per use in ``access``/``_perform``.
+# Hot-path aliases: module globals, one dict probe each.  On Python 3.11 a
+# class attribute load such as ``MessageType.GET`` goes through
+# ``EnumType.__getattr__`` (~130 ns, against ~8 ns for a global), so every
+# per-op and per-message method below reads these instead.
 _LOAD = OpKind.LOAD
 _STORE = OpKind.STORE
 _RMW = OpKind.RMW
-_M = L1State.M
+_S = L1State.S
 _E = L1State.E
+_M = L1State.M
 _PRV = L1State.PRV
-_from_bytes = int.from_bytes
+_GET = MessageType.GET
+_GETX = MessageType.GETX
+_UPGRADE = MessageType.UPGRADE
+_GETCHK = MessageType.GETCHK
+_GETXCHK = MessageType.GETXCHK
+_PUTM = MessageType.PUTM
+_DATA_E = MessageType.DATA_E
+_DATA_PRV = MessageType.DATA_PRV
+_DATA_TO_REQ = MessageType.DATA_TO_REQ
+_DATA_WB = MessageType.DATA_WB
+_UPG_ACK_PRV = MessageType.UPG_ACK_PRV
+_FWD_GETX = MessageType.FWD_GETX
+_INV_ACK = MessageType.INV_ACK
+_XFER_ACK = MessageType.XFER_ACK
+_ACK_NO_DATA = MessageType.ACK_NO_DATA
+_REP_MD = MessageType.REP_MD
+_PHANTOM_MD = MessageType.PHANTOM_MD
+_PRV_WB = MessageType.PRV_WB
+_CTRL_WB = MessageType.CTRL_WB
+_WRITE_REQUESTS = (_GETX, _GETXCHK, _UPGRADE)
+
+#: Line bytes are read and written through precompiled little-endian
+#: ``struct`` codecs indexed by access size: ``unpack_from``/``pack_into``
+#: work in place on the line's bytearray, with no slice or ``int.to_bytes``
+#: temporary (~60 ns against ~190 ns for ``int.from_bytes`` of a slice).
+_STRUCTS = [struct.Struct(fmt) if fmt else None for fmt in
+            (None, "<B", "<H", None, "<I", None, None, None, "<Q")]
+_UNPACK = [codec and codec.unpack_from for codec in _STRUCTS]
+_PACK = [codec and codec.pack_into for codec in _STRUCTS]
+_WIDTH_MASK = [(1 << (8 * size)) - 1 for size in range(9)]
 
 
 class L1Line:
@@ -129,12 +161,14 @@ class L1Controller:
         self.write_buffer = WriteBuffer(capacity=64)
         self._mshrs: Dict[int, Mshr] = {}
         # Hot-path bindings: block/offset masks (block size is a power of
-        # two), the mode's detect flag, the hit latency, and the PAM/write-
-        # buffer entry dicts (owned by those objects, never rebound) — the
-        # per-access path reads these instead of re-deriving them.
+        # two), the mode's detect flag, the tag and data latencies, and the
+        # PAM/write-buffer entry dicts (owned by those objects, never
+        # rebound) — the per-access and per-message paths read these
+        # instead of re-deriving them.
         self._offset_mask = self.block_size - 1
         self._base_mask = ~self._offset_mask
         self._detects = mode.detects
+        self._tag_latency = config.l1.tag_latency
         self._data_latency = config.l1.data_latency
         self._granularity = config.protocol.tracking_granularity
         self._pam_entries = self.pam._entries
@@ -250,15 +284,14 @@ class L1Controller:
         stats = self.stats
         stats[CORE_L1_DATA_ACCESSES] += 1
         if kind is _LOAD:
-            result = _from_bytes(data[offset:offset + size], "little")
+            result = _UNPACK[size](data, offset)[0]
         elif kind is _STORE:
-            data[offset:offset + size] = op.value.to_bytes(size, "little")
+            _PACK[size](data, offset, op.value)
             line.dirty = True
             result = 0
-        else:  # RMW
-            result = _from_bytes(data[offset:offset + size], "little")
-            new = op.modify(result) & ((1 << (8 * size)) - 1)
-            data[offset:offset + size] = new.to_bytes(size, "little")
+        else:  # RMW: the new value wraps at the access width
+            result = _UNPACK[size](data, offset)[0]
+            _PACK[size](data, offset, op.modify(result) & _WIDTH_MASK[size])
             line.dirty = True
         if self._detects:
             byte_mask = ((1 << size) - 1) << offset
@@ -282,48 +315,48 @@ class L1Controller:
 
     def _start_miss(self, block: int, line: Optional[L1Line], op: Op,
                     cb: CompletionCallback) -> None:
-        if line is not None and line.state == L1State.PRV:
-            mtype = (MessageType.GETXCHK if op.is_write
-                     else MessageType.GETCHK)
-            self.stats[CORE_CHK_MISSES] += 1
-            self.stats[CORE_CHK_SENT] += 1
-        elif line is not None and line.state == L1State.S and op.is_write:
-            mtype = MessageType.UPGRADE
-            self.stats[CORE_MISSES] += 1
-            self.stats[CORE_UPGRADE_SENT] += 1
+        stats = self.stats
+        if line is not None and line.state is _PRV:
+            mtype = _GETXCHK if op.is_write else _GETCHK
+            stats[CORE_CHK_MISSES] += 1
+            stats[CORE_CHK_SENT] += 1
+        elif line is not None and line.state is _S and op.is_write:
+            mtype = _UPGRADE
+            stats[CORE_MISSES] += 1
+            stats[CORE_UPGRADE_SENT] += 1
         elif op.is_write:
-            mtype = MessageType.GETX
-            self.stats[CORE_MISSES] += 1
-            self.stats[CORE_GETX_SENT] += 1
+            mtype = _GETX
+            stats[CORE_MISSES] += 1
+            stats[CORE_GETX_SENT] += 1
         else:
-            mtype = MessageType.GET
-            self.stats[CORE_MISSES] += 1
-            self.stats[CORE_GET_SENT] += 1
-        mshr = Mshr(block_addr=block, sent=mtype, ops=[(op, cb)])
+            mtype = _GET
+            stats[CORE_MISSES] += 1
+            stats[CORE_GET_SENT] += 1
+        mshr = Mshr(block, mtype, [(op, cb)])
         self._mshrs[block] = mshr
         self._send_request(mshr, op)
 
     def _send(self, mtype: MessageType, dst: int, block: int,
               payload: dict, delay: int = 0) -> None:
-        self.network.send(Message(mtype, src=self.core_id, dst=dst,
-                                  block_addr=block, payload=payload),
-                          extra_delay=delay)
+        self.network.send(Message(mtype, self.core_id, dst, block, payload),
+                          delay)
 
     def _send_request(self, mshr: Mshr, op: Op) -> None:
-        _, byte_mask = bytes_touched(op.addr, op.size, self.block_size)
+        # ``Op`` guarantees a naturally aligned 1/2/4/8-byte access, so the
+        # touched bytes stay inside any block of 8 bytes or more.
         block = mshr.block_addr
         self._send(mshr.sent, self.home_of(block), block,
-                   {"touched_mask": byte_mask,
-                    "is_rmw": op.kind == OpKind.RMW},
-                   self.config.l1.tag_latency)
+                   {"touched_mask": ((1 << op.size) - 1)
+                    << (op.addr & self._offset_mask),
+                    "is_rmw": op.kind is _RMW},
+                   self._tag_latency)
 
     def _reissue(self, mshr: Mshr) -> None:
         """Reissue an aborted request (Fig. 11 race) as a plain GET/GETX."""
         self.stats[CORE_REISSUES] += 1
         op = mshr.ops[0][0]
-        if mshr.sent in (MessageType.GETCHK, MessageType.GETXCHK,
-                         MessageType.UPGRADE):
-            mshr.sent = (MessageType.GETX if op.is_write else MessageType.GET)
+        if mshr.sent in (_GETCHK, _GETXCHK, _UPGRADE):
+            mshr.sent = _GETX if op.is_write else _GET
         mshr.aborted = False
         mshr.chk_line_lost = False
         self._send_request(mshr, op)
@@ -333,30 +366,29 @@ class L1Controller:
     def _fill(self, block: int, data: bytearray, state: L1State) -> L1Line:
         """Allocate the line (evicting a victim if needed).  Blocks with
         in-flight transactions are never victims."""
-        line = L1Line(state=state, data=data)
+        line = L1Line(state, data)
         evicted = self.cache.fill(block, line, protected=self._mshrs)
         if evicted is not None:
             self._evict(*evicted)
-        if self.mode.detects:
+        if self._detects:
             if block in self.pam:
                 raise ProtocolError("stale PAM entry at fill")
             self.pam.allocate(block)
-        if state == L1State.PRV:
+        if state is _PRV:
             self.stats[CORE_PRV_FILLS] += 1
         return line
 
     def _evict(self, block: int, line: L1Line) -> None:
         """Handle a capacity eviction of ``line`` (stable state)."""
-        if line.state in (L1State.M, L1State.PRV) or line.dirty:
+        prv = line.state is _PRV
+        if prv or line.state is _M or line.dirty:
             self.stats[CORE_WRITEBACKS] += 1
-            self.write_buffer.insert(block, bytearray(line.data),
-                                     prv=line.state == L1State.PRV)
-            self._send(MessageType.PUTM, self.home_of(block), block,
-                       {"data": bytes(line.data),
-                        "prv": line.state == L1State.PRV})
+            self.write_buffer.insert(block, bytearray(line.data), prv=prv)
+            self._send(_PUTM, self.home_of(block), block,
+                       {"data": bytes(line.data), "prv": prv})
             # PRV metadata lives in the SAM already; M/E/S metadata may need
             # to be reported on eviction (SEND_MD, Section IV).
-            if line.state != L1State.PRV:
+            if not prv:
                 self._send_md_on_eviction(block)
             else:
                 self.pam.invalidate(block)
@@ -365,13 +397,13 @@ class L1Controller:
             self._send_md_on_eviction(block)
 
     def _send_md_on_eviction(self, block: int) -> None:
-        if not self.mode.detects:
+        if not self._detects:
             return
         pentry = self.pam.invalidate(block)
         if pentry is not None and pentry.send_md and not pentry.empty:
             self.stats[CORE_REP_MD_SENT] += 1
             self.pam.md_sends += 1
-            self._send(MessageType.REP_MD, self.home_of(block), block,
+            self._send(_REP_MD, self.home_of(block), block,
                        {"read_bits": pentry.read_bits,
                         "write_bits": pentry.write_bits,
                         "solicited": False})
@@ -379,7 +411,7 @@ class L1Controller:
     # ----------------------------------------------------- message handling
 
     def handle_message(self, msg: Message) -> None:
-        handler = self._dispatch[msg.mtype.value]
+        handler = self._dispatch[msg.mtype._value_]
         if handler is None:
             raise ProtocolError(f"L1 {self.core_id} cannot handle {msg}")
         handler(msg)
@@ -387,16 +419,13 @@ class L1Controller:
     # -- data responses -------------------------------------------------------
 
     def _fill_state_for(self, msg: Message, mshr: Mshr) -> L1State:
-        wants_write = mshr.sent in (MessageType.GETX, MessageType.GETXCHK,
-                                    MessageType.UPGRADE)
-        if msg.mtype == MessageType.DATA_PRV:
-            return L1State.PRV
-        if msg.mtype == MessageType.DATA:
-            return L1State.M if wants_write else L1State.S
-        if msg.mtype == MessageType.DATA_E:
-            return L1State.M if wants_write else L1State.E
-        # DATA_TO_REQ: forwarded by the old owner.
-        return L1State.M if wants_write else L1State.S
+        mtype = msg.mtype
+        if mtype is _DATA_PRV:
+            return _PRV
+        if mshr.sent in _WRITE_REQUESTS:
+            return _M
+        # DATA and DATA_TO_REQ (forwarded by the old owner) fill S.
+        return _E if mtype is _DATA_E else _S
 
     def _on_data(self, msg: Message) -> None:
         mshr = self._mshrs.get(msg.block_addr)
@@ -426,7 +455,7 @@ class L1Controller:
         del self._mshrs[block]
         (first_op, first_cb) = mshr.ops[0]
         rest = mshr.ops[1:]
-        latency = self.config.l1.data_latency
+        latency = self._data_latency
         result = self._perform(block, line, first_op)
         if mshr.inv_after_fill:
             # Consume-then-drop (IS_I): the invalidation was already
@@ -451,8 +480,7 @@ class L1Controller:
             # reissue as GetX.
             self._reissue(mshr)
             return
-        line.state = (L1State.PRV if msg.mtype == MessageType.UPG_ACK_PRV
-                      else L1State.M)
+        line.state = _PRV if msg.mtype is _UPG_ACK_PRV else _M
         self._note_req_md(msg.block_addr, msg.payload.get("req_md"))
         self._complete_mshr(msg.block_addr, mshr, line)
 
@@ -461,7 +489,7 @@ class L1Controller:
         if mshr is None:
             raise ProtocolError(f"stray Ack_PRV: {msg}")
         line = self.cache.peek(msg.block_addr)
-        if line is None or line.state != L1State.PRV or mshr.aborted:
+        if line is None or line.state is not _PRV or mshr.aborted:
             self._reissue(mshr)
             return
         self._complete_mshr(msg.block_addr, mshr, line)
@@ -469,7 +497,7 @@ class L1Controller:
     def _note_req_md(self, block: int, req_md) -> None:
         """A grant or downgrade carrying REQ_MD arms SEND_MD: the block's
         PAM bits go to the directory when it is evicted (Section IV)."""
-        if req_md and self.mode.detects:
+        if req_md and self._detects:
             pentry = self.pam.get(block)
             if pentry is not None:
                 pentry.send_md = True
@@ -484,20 +512,20 @@ class L1Controller:
         the block is still on the wire, so a privatization init must not
         conclude (and serve possibly-stale data) before the PUTM lands.
         """
-        if not self.mode.detects:
+        if not self._detects:
             return
         pentry = self.pam.get(block)
         dst = self.home_of(block)
         if pentry is not None:
             self.stats[CORE_REP_MD_SENT] += 1
-            self._send(MessageType.REP_MD, dst, block,
+            self._send(_REP_MD, dst, block,
                        {"read_bits": pentry.read_bits,
                         "write_bits": pentry.write_bits,
                         "solicited": solicited,
                         "putm_in_flight": putm_in_flight})
         else:
             self.stats[CORE_PHANTOM_SENT] += 1
-            self._send(MessageType.PHANTOM_MD, dst, block,
+            self._send(_PHANTOM_MD, dst, block,
                        {"solicited": solicited,
                         "putm_in_flight": putm_in_flight})
 
@@ -513,12 +541,12 @@ class L1Controller:
         req_md = bool(msg.payload.get("req_md"))
         mshr = self._mshrs.get(msg.block_addr)
         line = self.cache.peek(msg.block_addr)
-        if mshr is not None and mshr.sent == MessageType.UPGRADE:
+        if mshr is not None and mshr.sent is _UPGRADE:
             # Our upgrade lost the race; the directory converts it to a
             # GetX and answers with data, so just drop the S copy.
             if line is not None:
                 self._invalidate_line(msg.block_addr, send_md=req_md)
-        elif mshr is not None and mshr.sent == MessageType.GET and line is None:
+        elif mshr is not None and mshr.sent is _GET and line is None:
             # INV overtook the data response of a GET: consume then drop.
             if req_md:
                 self._metadata_response(msg.block_addr)
@@ -534,9 +562,9 @@ class L1Controller:
             # Silently evicted earlier; stale sharer info at the directory.
             if req_md:
                 self._metadata_response(msg.block_addr)
-        self._send(MessageType.INV_ACK, msg.src, msg.block_addr,
+        self._send(_INV_ACK, msg.src, msg.block_addr,
                    {"requestor": msg.payload.get("requestor")},
-                   self.config.l1.tag_latency)
+                   self._tag_latency)
 
     def _on_forward(self, msg: Message) -> None:
         """FWD_GET / FWD_GETX: serve the requestor from the owned line or
@@ -546,24 +574,24 @@ class L1Controller:
         block = msg.block_addr
         req_md = bool(msg.payload.get("req_md"))
         requestor = msg.payload["requestor"]
-        getx = msg.mtype == MessageType.FWD_GETX
-        delay = self.config.l1.data_latency
+        getx = msg.mtype is _FWD_GETX
+        delay = self._data_latency
         line = self.cache.peek(block)
-        if line is not None and line.state not in (L1State.M, L1State.E):
+        if line is not None and not (line.state is _M or line.state is _E):
             line = None
         wb = self.write_buffer.get(block) if line is None else None
         if line is None and wb is None:
             # Clean silent eviction (the ordered forward network guarantees
             # no grant is in flight behind this): the LLC copy is valid.
-            self._send(MessageType.ACK_NO_DATA, msg.src, block,
+            self._send(_ACK_NO_DATA, msg.src, block,
                        {"requestor": requestor}, delay)
             if req_md:
                 self._metadata_response(block)
             return
         data = bytes((line or wb).data)
-        self._send(MessageType.DATA_TO_REQ, requestor, block,
+        self._send(_DATA_TO_REQ, requestor, block,
                    {"data": data, "req_md": req_md}, delay)
-        if getx or wb is not None or line.state == L1State.M or line.dirty:
+        if getx or wb is not None or line.state is _M or line.dirty:
             # A FWD_GETX's transfer ack carries the data so the LLC copy is
             # always fresh; this is what makes drop-and-reissue races safe.
             payload = {"data": data, "requestor": requestor}
@@ -571,9 +599,9 @@ class L1Controller:
                 payload["xfer"] = True
             if wb is not None:
                 payload["from_wb"] = True
-            self._send(MessageType.DATA_WB, msg.src, block, payload, delay)
+            self._send(_DATA_WB, msg.src, block, payload, delay)
         else:
-            self._send(MessageType.XFER_ACK, msg.src, block,
+            self._send(_XFER_ACK, msg.src, block,
                        {"requestor": requestor}, delay)
         if req_md:
             self._metadata_response(block)
@@ -582,7 +610,7 @@ class L1Controller:
         if getx:
             self._invalidate_line(block, send_md=False)
         else:
-            line.state = L1State.S
+            line.state = _S
             line.dirty = False
             self._note_req_md(block, req_md)
 
@@ -590,11 +618,11 @@ class L1Controller:
 
     def _on_tr_prv(self, msg: Message) -> None:
         line = self.cache.peek(msg.block_addr)
-        delay = self.config.l1.data_latency
+        delay = self._data_latency
         if line is not None:
-            if line.state == L1State.M or line.dirty:
+            if line.state is _M or line.dirty:
                 # Flush so the LLC copy is fresh at privatization start.
-                self._send(MessageType.DATA_WB, msg.src, msg.block_addr,
+                self._send(_DATA_WB, msg.src, msg.block_addr,
                            {"data": bytes(line.data), "tr_prv": True}, delay)
                 line.dirty = False
             self._metadata_response(msg.block_addr)
@@ -603,8 +631,8 @@ class L1Controller:
                 pentry.read_bits = 0
                 pentry.write_bits = 0
             mshr = self._mshrs.get(msg.block_addr)
-            if mshr is None or mshr.sent != MessageType.UPGRADE:
-                line.state = L1State.PRV
+            if mshr is None or mshr.sent is not _UPGRADE:
+                line.state = _PRV
         else:
             # Evicted (possibly with a PUTM in flight): phantom response.
             # If our dirty writeback is still on the wire, flag it so the
@@ -615,8 +643,7 @@ class L1Controller:
                 msg.block_addr,
                 putm_in_flight=msg.block_addr in self.write_buffer)
             mshr = self._mshrs.get(msg.block_addr)
-            if mshr is not None and mshr.sent in (MessageType.GET,
-                                                  MessageType.GETX):
+            if mshr is not None and mshr.sent in (_GET, _GETX):
                 # Our fill response is in flight while the block privatizes:
                 # the phantom told the directory we hold nothing, so we must
                 # drop the stale response and reissue (join as PRV sharer).
@@ -626,17 +653,17 @@ class L1Controller:
         self.stats[CORE_INVALIDATIONS_RECEIVED] += 1
         line = self.cache.peek(msg.block_addr)
         mshr = self._mshrs.get(msg.block_addr)
-        delay = self.config.l1.data_latency
+        delay = self._data_latency
         if line is not None:
-            self._send(MessageType.PRV_WB, msg.src, msg.block_addr,
+            self._send(_PRV_WB, msg.src, msg.block_addr,
                        {"data": bytes(line.data)}, delay)
             self.cache.invalidate(msg.block_addr)
             self.pam.invalidate(msg.block_addr)
             if mshr is not None:
-                if mshr.sent in (MessageType.GETCHK, MessageType.GETXCHK):
+                if mshr.sent in (_GETCHK, _GETXCHK):
                     # The directory answers the CHK with data post-termination.
                     mshr.chk_line_lost = True
-                elif mshr.sent == MessageType.UPGRADE:
+                elif mshr.sent is _UPGRADE:
                     mshr.aborted = True
         elif msg.block_addr in self.write_buffer:
             # Our PRV eviction writeback is in flight; the PUTM carries the
@@ -645,19 +672,18 @@ class L1Controller:
             # privatized bytes in the late PUTM would never be merged.
             pass
         else:
-            self._send(MessageType.CTRL_WB, msg.src, msg.block_addr, {},
-                       self.config.l1.tag_latency)
-            if mshr is not None and mshr.sent in (
-                    MessageType.GET, MessageType.GETX, MessageType.UPGRADE):
+            self._send(_CTRL_WB, msg.src, msg.block_addr, {},
+                       self._tag_latency)
+            if mshr is not None and mshr.sent in (_GET, _GETX, _UPGRADE):
                 mshr.aborted = True
 
     # -- recalls and writeback acks ------------------------------------------------
 
     def _on_recall(self, msg: Message) -> None:
         line = self.cache.peek(msg.block_addr)
-        delay = self.config.l1.data_latency
-        if line is not None and (line.state == L1State.M or line.dirty):
-            self._send(MessageType.DATA_WB, msg.src, msg.block_addr,
+        delay = self._data_latency
+        if line is not None and (line.state is _M or line.dirty):
+            self._send(_DATA_WB, msg.src, msg.block_addr,
                        {"data": bytes(line.data), "recall": True},
                        delay)
             self._invalidate_line(msg.block_addr,
@@ -674,8 +700,8 @@ class L1Controller:
             if line is not None:
                 self._invalidate_line(msg.block_addr,
                                       send_md=bool(msg.payload.get("req_md")))
-            self._send(MessageType.ACK_NO_DATA, msg.src, msg.block_addr,
-                       {"recall": True}, self.config.l1.tag_latency)
+            self._send(_ACK_NO_DATA, msg.src, msg.block_addr,
+                       {"recall": True}, self._tag_latency)
 
     def _on_wb_ack(self, msg: Message) -> None:
         if msg.block_addr in self.write_buffer:

@@ -6,13 +6,15 @@ breaks ties), which makes every simulation fully deterministic.
 
 Hot-path layout: the heap holds plain ``(time, seq, fn, arg)`` tuples and
 firing one is ``fn(arg)``.  Ordering is C-level integer-tuple comparison
-(``seq`` is unique, so ``fn``/``arg`` are never compared).  The simulator's
-hot producers — L1 hit and MSHR completions, core COMPUTE/FENCE
-continuations, network deliveries — push a bound method and its one
-argument with :meth:`EventQueue.post`/:meth:`EventQueue.post_at`: no
+(``seq`` is unique, so ``fn``/``arg`` are never compared).  Every event
+the simulator makes — L1 hit and MSHR completions, core start and
+COMPUTE/FENCE continuations, network deliveries, directory queue drains
+and memory-fill completions — is a bound method and its one argument
+pushed with :meth:`EventQueue.post`/:meth:`EventQueue.post_at`: no
 per-event handle object and no ``functools.partial``.
 
-:meth:`EventQueue.schedule` is the handle API for zero-argument callbacks:
+:meth:`EventQueue.schedule` is the handle API for zero-argument callbacks
+(tests and drivers; no simulator component calls it):
 it returns an :class:`Event` whose :meth:`Event.cancel` takes the entry off
 the heap (an O(n) scan; nothing on the simulator's hot path cancels).  The
 heap therefore only ever holds live entries, so a cancelled event can never

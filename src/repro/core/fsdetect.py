@@ -29,6 +29,12 @@ from repro.core.report import (
 )
 from repro.core.sam import SamEntry, SamTable
 
+# ``DetectionAction.X`` is an ``EnumType.__getattr__`` call on Python 3.11;
+# ``classify`` runs on every demand request, so it returns these globals.
+_NONE = DetectionAction.NONE
+_FLAG_FALSE_SHARING = DetectionAction.FLAG_FALSE_SHARING
+_RESET_METADATA = DetectionAction.RESET_METADATA
+
 
 def _zero_clock() -> int:
     """Default ``now`` accessor (module-level so detectors pickle)."""
@@ -170,13 +176,13 @@ class FalseSharingDetector:
         """
         meta = self._meta.get(block_addr)
         if meta is None:
-            return DetectionAction.NONE
+            return _NONE
         sam_entry = self.sam.peek(block_addr)
         ts = sam_entry.ts if sam_entry is not None else False
         if meta.crossed(self.config.tau_p):
             hc = meta.hc if self.config.use_hysteresis else 0
             if not ts and hc == 0:
-                return DetectionAction.FLAG_FALSE_SHARING
+                return _FLAG_FALSE_SHARING
             if ts:
                 # Section VII extension: a contended *truly* shared line —
                 # very likely a synchronization variable.
@@ -184,12 +190,12 @@ class FalseSharingDetector:
             if not ts and self.config.use_hysteresis:
                 meta.decay_hc()
             self.apply_reset(block_addr)
-            return DetectionAction.RESET_METADATA
+            return _RESET_METADATA
         if self.config.use_metadata_reset:
             if meta.crossed(self.config.tau_r1) or meta.fc >= self.config.tau_r2:
                 self.apply_reset(block_addr)
-                return DetectionAction.RESET_METADATA
-        return DetectionAction.NONE
+                return _RESET_METADATA
+        return _NONE
 
     def apply_reset(self, block_addr: int) -> None:
         """Clear the SAM entry (including TS) and zero FC/IC.

@@ -8,8 +8,9 @@ A core executes a *thread program*: a generator yielding :class:`Op` values
 and receiving each op's result back (see :mod:`repro.cpu.ops`).
 
 Snapshot support: generators cannot be pickled, so the core records the
-replay trace of its program — whether the first ``next`` happened and every
-result passed to ``send`` — and drops the generator from its pickled state.
+replay trace of its program — every value passed to ``send``, starting
+with the None that starts the generator — and drops the generator from its
+pickled state.
 :meth:`rebind_program` rebuilds an equivalent generator from a fresh
 program instance by fast-forwarding it through the recorded trace (the
 program is deterministic given the results it received).
@@ -17,7 +18,6 @@ program is deterministic given the results it received).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Generator, List, Optional
 
 from repro.common.errors import WorkloadError
@@ -25,6 +25,8 @@ from repro.common.events import EventQueue
 from repro.cpu.ops import Op, OpKind
 
 ThreadProgram = Generator[Op, int, None]
+
+_COMPUTE = OpKind.COMPUTE
 
 
 class InOrderCore:
@@ -51,18 +53,19 @@ class InOrderCore:
         self.mem_stall_cycles = 0
         #: Issue cycle of the outstanding memory op; -1 when there is none.
         self._issue_cycle = -1
-        # Program replay trace (snapshot support): whether the initial
-        # ``next`` has run, every result successfully ``send``-ed, and how
-        # many ops the program has yielded.
-        self._started = False
+        # Program replay trace (snapshot support): every value successfully
+        # ``send``-ed (the first is the starting None), and how many ops
+        # the program has yielded.
         self._sent: List[Optional[int]] = []
         self._exhausted = False
         self.pulled = 0
 
     def start(self) -> None:
-        self.queue.schedule(0, partial(self._advance, None, True))
+        # Sending None to a fresh generator is ``next``: the first resume
+        # needs no flag, and the replay trace starts with that None.
+        self.queue.post(0, self._advance, None)
 
-    def _advance(self, result: Optional[int], first: bool = False) -> None:
+    def _advance(self, result: Optional[int]) -> None:
         """Resume the program with the previous op's result and issue next.
 
         This is also the L1 completion callback: the stall of an
@@ -75,17 +78,12 @@ class InOrderCore:
             self.mem_stall_cycles += self.queue._now - issued
             self._issue_cycle = -1
         try:
-            if first:
-                self._started = True
-                op = next(self.program)
-            else:
-                op = self.program.send(result)
+            op = self.program.send(result)
         except StopIteration:
             self._exhausted = True
             self._finish()
             return
-        if not first:
-            self._sent.append(result)
+        self._sent.append(result)
         self.pulled += 1
         if not isinstance(op, Op):
             raise WorkloadError(
@@ -95,7 +93,7 @@ class InOrderCore:
             self.mem_ops += 1
             self._issue_cycle = self.queue._now
             self.l1.access(op, self._advance)
-        elif op.kind is OpKind.COMPUTE:
+        elif op.kind is _COMPUTE:
             self.compute_cycles += op.cycles
             self.queue.post(op.cycles, self._advance, 0)
         else:
@@ -122,10 +120,9 @@ class InOrderCore:
         """Re-attach a fresh program instance after unpickling, replaying
         the recorded trace so the generator's cursor matches the captured
         core state.  Exhausted programs need no generator at all."""
-        if self._exhausted or not self._started:
+        if self._exhausted or not self._sent:
             self.program = program
             return
-        next(program)
         for result in self._sent:
             program.send(result)
         self.program = program

@@ -32,6 +32,10 @@ from repro.common.events import EventQueue
 from repro.cpu.core import ThreadProgram
 from repro.cpu.ops import Op, OpKind
 
+_COMPUTE = OpKind.COMPUTE
+_FENCE = OpKind.FENCE
+_RMW = OpKind.RMW
+
 
 class _WindowSlot:
     __slots__ = ("op", "issued_at", "done", "completed_at")
@@ -79,28 +83,22 @@ class OutOfOrderCore:
         self._program_exhausted = False
         self._retire_cursor = 0
         # Program replay trace (snapshot support); see InOrderCore.
-        self._started = False
         self._sent: List[Optional[int]] = []
         self.pulled = 0
 
     def start(self) -> None:
-        self.queue.schedule(0, partial(self._advance, None, True))
+        self.queue.post(0, self._advance, None)  # see InOrderCore.start
 
     # -- issue side -------------------------------------------------------------
 
-    def _advance(self, result: Optional[int], first: bool = False) -> None:
+    def _advance(self, result: Optional[int]) -> None:
         try:
-            if first:
-                self._started = True
-                op = next(self.program)
-            else:
-                op = self.program.send(result)
+            op = self.program.send(result)
         except StopIteration:
             self._program_exhausted = True
             self._maybe_finish()
             return
-        if not first:
-            self._sent.append(result)
+        self._sent.append(result)
         self.pulled += 1
         if not isinstance(op, Op):
             raise WorkloadError(f"thread program yielded a non-Op: {op!r}")
@@ -108,11 +106,11 @@ class OutOfOrderCore:
         self._issue(op)
 
     def _issue(self, op: Op) -> None:
-        if op.kind == OpKind.COMPUTE:
+        if op.kind is _COMPUTE:
             self.compute_cycles += op.cycles
             self.queue.post(op.cycles, self._advance, 0)
             return
-        if op.kind == OpKind.FENCE:
+        if op.kind is _FENCE:
             self._draining = True
             self._try_resume_after_drain()
             return
@@ -123,7 +121,7 @@ class OutOfOrderCore:
         self.mem_ops += 1
         slot = _WindowSlot(op, self.queue.now)
         self._slots.append(slot)
-        blocking = op.need_value or op.kind == OpKind.RMW
+        blocking = op.need_value or op.kind is _RMW
         self.l1.access(op, partial(self._complete_slot, slot, blocking))
         if blocking:
             self._waiting_value = True
@@ -174,10 +172,9 @@ class OutOfOrderCore:
 
     def rebind_program(self, program: Optional[ThreadProgram]) -> None:
         """Re-attach a fresh program after unpickling (see InOrderCore)."""
-        if self._program_exhausted or not self._started:
+        if self._program_exhausted or not self._sent:
             self.program = program
             return
-        next(program)
         for result in self._sent:
             program.send(result)
         self.program = program

@@ -34,6 +34,13 @@ class OpKind(enum.Enum):
     FENCE = enum.auto()
 
 
+# Module aliases: ``OpKind.X`` is a slow ``EnumType.__getattr__`` call on
+# Python 3.11, and ``Op.__init__`` runs once per constructed op.
+_LOAD = OpKind.LOAD
+_STORE = OpKind.STORE
+_RMW = OpKind.RMW
+
+
 class Op:
     """One operation of a thread program.
 
@@ -48,16 +55,18 @@ class Op:
                  value: int = 0, cycles: int = 0,
                  modify: Optional[Callable[[int], int]] = None,
                  need_value: bool = True) -> None:
-        memory = (kind is OpKind.LOAD or kind is OpKind.STORE
-                  or kind is OpKind.RMW)
+        memory = kind is _LOAD or kind is _STORE or kind is _RMW
         if memory:
             if size not in (1, 2, 4, 8):
                 raise ValueError(f"bad access size {size}")
             if addr % size != 0:
                 raise ValueError(
                     f"unaligned access: addr={addr:#x} size={size}")
-            if kind is OpKind.RMW and modify is None:
+            if kind is _RMW and modify is None:
                 raise ValueError("RMW requires a modify function")
+            if kind is _STORE and (value < 0 or value >> (8 * size)):
+                raise ValueError(
+                    f"store value {value} does not fit in {size} bytes")
         self.kind = kind
         self.addr = addr
         self.size = size
@@ -68,7 +77,7 @@ class Op:
         #: so the core may issue past it.
         self.need_value = need_value
         self.is_memory = memory
-        self.is_write = memory and kind is not OpKind.LOAD
+        self.is_write = memory and kind is not _LOAD
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Op({self.kind.name}, addr={self.addr:#x}, "
@@ -90,19 +99,19 @@ def load(addr: int, size: int = 4, need_value: bool = True) -> Op:
     if op is None:
         if len(_LOAD_CACHE) >= _LOAD_CACHE_MAX:
             _LOAD_CACHE.clear()
-        op = Op(OpKind.LOAD, addr=addr, size=size, need_value=need_value)
+        op = Op(_LOAD, addr=addr, size=size, need_value=need_value)
         _LOAD_CACHE[key] = op
     return op
 
 
 def store(addr: int, value: int, size: int = 4) -> Op:
-    return Op(OpKind.STORE, addr=addr, size=size, value=value,
+    return Op(_STORE, addr=addr, size=size, value=value,
               need_value=False)
 
 
 def rmw(addr: int, modify: Callable[[int], int], size: int = 4,
         need_value: bool = True) -> Op:
-    return Op(OpKind.RMW, addr=addr, size=size, modify=modify,
+    return Op(_RMW, addr=addr, size=size, modify=modify,
               need_value=need_value)
 
 

@@ -175,11 +175,11 @@ class Message:
 
     @property
     def mclass(self) -> MessageClass:
-        return CLASS_BY_VALUE[self.mtype.value]
+        return CLASS_BY_VALUE[self.mtype._value_]
 
     @property
     def size_bytes(self) -> int:
-        return SIZE_BY_VALUE[self.mtype.value]
+        return SIZE_BY_VALUE[self.mtype._value_]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

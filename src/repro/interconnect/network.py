@@ -9,10 +9,12 @@ Inv_PRV overtaking a nine-flit Data_PRV) actually happen in simulation.
 
 Hot-path layout: channel assignment, serialization delay and per-message
 accounting are all per-``MessageType`` tables indexed by enum value and
-built once, and when no observer is attached :meth:`Network.send` schedules
-the destination handler directly — the post-send/post-deliver indirection
-exists only while an observer (tracer, sanitizer, metrics sampler, episode
-tracker; see :mod:`repro.obs`) is attached.
+built once (read as ``mtype._value_``: on Python 3.11 ``.value`` is a
+Python-level property), and when no observer is attached
+:meth:`Network.send` schedules the destination handler directly — the
+post-send/post-deliver indirection exists only while an observer (tracer,
+sanitizer, metrics sampler, episode tracker; see :mod:`repro.obs`) is
+attached.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ _SER_DELAY_BY_VALUE: tuple = (0,) + tuple(
 
 
 def channel_of(msg: Message) -> str:
-    return _CHANNEL_BY_VALUE[msg.mtype.value]
+    return _CHANNEL_BY_VALUE[msg.mtype._value_]
 
 
 class NetworkStats:
@@ -80,7 +82,7 @@ class NetworkStats:
         self._bytes_by_type: List[int] = [0] * size
 
     def record(self, msg: Message) -> None:
-        value = msg.mtype.value
+        value = msg.mtype._value_
         self._count_by_type[value] += 1
         self._bytes_by_type[value] += SIZE_BY_VALUE[value]
 
@@ -135,7 +137,6 @@ class Network:
 
     #: Link width in bytes per cycle (one flit).
     FLIT_BYTES = _FLIT_BYTES
-    _SER_DELAY_BY_VALUE = _SER_DELAY_BY_VALUE
 
     def __init__(self, queue: EventQueue, latency: int,
                  ordered_source_min: Optional[int] = None) -> None:
@@ -206,40 +207,44 @@ class Network:
         self._hooked = bool(self.post_send_hooks or self.post_deliver_hooks)
 
     def serialization_delay(self, msg: Message) -> int:
-        return self._SER_DELAY_BY_VALUE[msg.mtype.value]
+        return _SER_DELAY_BY_VALUE[msg.mtype._value_]
 
     def send(self, msg: Message, extra_delay: int = 0) -> None:
         """Inject ``msg``; arrival after latency + serialization + extra."""
         handler = self._handlers.get(msg.dst)
         if handler is None:
             raise SimulationError(f"no handler registered for node {msg.dst}")
-        value = msg.mtype.value
-        self.stats._count_by_type[value] += 1
-        self.stats._bytes_by_type[value] += SIZE_BY_VALUE[value]
+        value = msg.mtype._value_
+        stats = self.stats
+        stats._count_by_type[value] += 1
+        stats._bytes_by_type[value] += SIZE_BY_VALUE[value]
         if self.fault_seam is not None:
             perturbed = self.fault_seam(msg, extra_delay)
             if perturbed is None:
                 return  # injected message loss: counted, never delivered
             extra_delay = perturbed
-        arrival = (self._queue._now + self.latency
-                   + self._SER_DELAY_BY_VALUE[value] + extra_delay)
-        if (self.ordered_source_min is not None
-                and msg.src >= self.ordered_source_min):
+        queue = self._queue
+        arrival = (queue._now + self.latency
+                   + _SER_DELAY_BY_VALUE[value] + extra_delay)
+        src = msg.src
+        ordered_min = self.ordered_source_min
+        if ordered_min is not None and src >= ordered_min:
             channel = "ordered"
         else:
             channel = _CHANNEL_BY_VALUE[value]
-        key = (msg.src, msg.dst, channel)
-        floor = self._last_delivery.get(key, -1)
+        key = (src, msg.dst, channel)
+        last_delivery = self._last_delivery
+        floor = last_delivery.get(key, -1)
         if arrival < floor:
             arrival = floor  # FIFO within a virtual channel
-        self._last_delivery[key] = arrival
+        last_delivery[key] = arrival
         if not self._hooked:
             # Fast path: no tracer/sanitizer attached — the heap entry
             # invokes the destination handler (a bound method, so in-flight
             # deliveries survive machine snapshots) on the message.
-            self._queue.post_at(arrival, handler, msg)
+            queue.post_at(arrival, handler, msg)
             return
-        self._queue.post_at(arrival, partial(self._deliver, handler), msg)
+        queue.post_at(arrival, partial(self._deliver, handler), msg)
         for hook in self.post_send_hooks:
             hook(msg)
 

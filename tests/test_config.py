@@ -25,6 +25,14 @@ class TestCacheConfig:
         with pytest.raises(ConfigError):
             CacheConfig(size_bytes=1024, associativity=2, block_size=48)
 
+    @pytest.mark.parametrize("block_size", [1, 2, 4])
+    def test_rejects_block_smaller_than_largest_access(self, block_size):
+        # An aligned 8-byte access would straddle two such blocks.
+        with pytest.raises(ConfigError, match="at least 8"):
+            CacheConfig(size_bytes=1024, associativity=2,
+                        block_size=block_size)
+        CacheConfig(size_bytes=1024, associativity=2, block_size=8)
+
     def test_rejects_fractional_sets(self):
         with pytest.raises(ConfigError):
             CacheConfig(size_bytes=1000, associativity=3)

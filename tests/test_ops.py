@@ -48,6 +48,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Op(OpKind.RMW, addr=0, size=4)
 
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    def test_store_value_must_fit_the_access(self, size):
+        top = (1 << (8 * size)) - 1
+        assert store(0, 0, size=size).value == 0
+        assert store(0, top, size=size).value == top
+        for bad in (top + 1, 1 << 64, -1):
+            with pytest.raises(ValueError, match="does not fit"):
+                store(0, bad, size=size)
+            with pytest.raises(ValueError, match="does not fit"):
+                Op(OpKind.STORE, addr=0, size=size, value=bad)
+
 
 class TestRmwHelpers:
     def test_fetch_add_wraps(self):

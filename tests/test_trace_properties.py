@@ -23,6 +23,9 @@ from repro.workloads.trace import (
     MAGIC,
     TraceFormatError,
     TraceWriter,
+    _K_STORE,
+    _append_uvarint,
+    _decode_ops,
     read_trace,
     trace_info,
     verify_trace,
@@ -236,6 +239,21 @@ def test_negative_operands_are_unencodable(tmp_path):
         writer.append(0, Op(OpKind.RMW, addr=8, size=4,
                             modify=CasModify(-1, 0)))
     writer.abort()
+
+
+@pytest.mark.parametrize("size_log2", range(4))
+def test_out_of_range_store_record_is_a_format_error(size_log2):
+    """A STORE record whose value does not fit its access size fails the
+    ``Op`` check, and the decoder reports it as a format error."""
+    size = 1 << size_log2
+    payload = bytearray([_K_STORE | (size_log2 << 3), 0])  # delta 0
+    _append_uvarint(payload, 1 << (8 * size))
+    with pytest.raises(TraceFormatError, match="does not fit"):
+        _decode_ops(bytes(payload), 1, 0)
+    payload = bytearray([_K_STORE | (size_log2 << 3), 0])
+    _append_uvarint(payload, (1 << (8 * size)) - 1)
+    (op,), _ = _decode_ops(bytes(payload), 1, 0)
+    assert op.value == (1 << (8 * size)) - 1
 
 
 def test_closed_writer_rejects_appends(tmp_path):
